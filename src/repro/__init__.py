@@ -39,9 +39,7 @@ Layering (each layer only depends on the ones above it):
 * :mod:`repro.observability` — the telemetry layer beside all of the
   above: a thread-safe stdlib metrics registry (counters/gauges/
   histograms in labeled families, Prometheus text exposition on
-  ``GET /metrics``), an event bus, structured JSON request logs, and
-  the :class:`~repro.observability.AdaptiveController` closing the
-  loop from observed traffic back onto the serving knobs;
+  ``GET /metrics``), structured JSON request logs, and request spans;
 * :mod:`repro.analysis` — instances, experiments, tables.
 
 The most common entry points are re-exported here; run
@@ -83,13 +81,7 @@ from repro.dynamic import (
 from repro.engine import CSRGraph, DenseGraph
 from repro.geometry import LAYOUT_FAMILIES, PointSet, layout_points, uniform_points
 from repro.mechanism import MechanismResult
-from repro.observability import (
-    AdaptiveController,
-    EventBus,
-    MetricsRegistry,
-    RequestLogger,
-    default_registry,
-)
+from repro.observability import MetricsRegistry, RequestLogger, default_registry
 from repro.runner import ProfileSpec, SweepSpec, run_sweep
 from repro.service import (
     CostSharingService,
@@ -111,7 +103,6 @@ from repro.wireless import CostGraph, EuclideanCostGraph, PowerAssignment, Unive
 __version__ = "1.10.0"
 
 __all__ = [
-    "AdaptiveController",
     "CSRGraph",
     "ChurnSpec",
     "CostGraph",
@@ -120,7 +111,6 @@ __all__ = [
     "DynamicScenarioSpec",
     "DynamicSession",
     "EuclideanCostGraph",
-    "EventBus",
     "MetricsRegistry",
     "RequestLogger",
     "EuclideanJVMechanism",

@@ -41,11 +41,12 @@ Three modes:
       python -m repro serve --port 8123 --cache-size 64 --batch-window 0.005
       python -m repro loadgen --port 8123 --requests 100 --concurrency 8
 
-  The server exposes Prometheus text metrics on ``GET /metrics``, writes
-  structured JSON request logs with ``--request-log``, and adapts its
-  batch window and LRU capacity from observed traffic unless
-  ``--no-adapt``; ``loadgen`` scrapes the metrics and summarizes
-  per-stage latency next to its client-side percentiles.
+  The server exposes Prometheus text metrics on ``GET /metrics`` and
+  writes structured JSON request logs with ``--request-log``;
+  ``loadgen`` scrapes the metrics and summarizes per-stage latency next
+  to its client-side percentiles.  SIGTERM stops ``serve`` and ``fleet``
+  the way Ctrl-C does: the server drains, and a fleet router terminates
+  its workers.
 
 * **Sharded fleets** (``fleet`` / ``serve --workers N``): the same wire
   protocol served by a consistent-hash router over N shared-nothing
@@ -434,11 +435,28 @@ def dynamic_command(argv: list[str]) -> int:
     return 0
 
 
+async def _serve_until_stopped(app, host: str, port: int, ready) -> None:
+    """Serve ``app`` (a service or a fleet router) until SIGTERM or Ctrl-C.
+
+    ``asyncio.run`` answers Ctrl-C by cancelling its main task; SIGTERM
+    does the same here, so both unwind through the same ``finally``
+    blocks: the server closes and drains, then the caller closes its
+    logs or terminates its fleet workers."""
+    import asyncio
+    import signal
+
+    from repro.service import run_server
+
+    asyncio.get_running_loop().add_signal_handler(
+        signal.SIGTERM, asyncio.current_task().cancel)
+    await run_server(app, host, port, ready=ready)
+
+
 def serve_command(argv: list[str]) -> int:
     """The ``serve`` subcommand: run the HTTP/JSON cost-sharing service."""
     import asyncio
 
-    from repro.service import CostSharingService, run_server
+    from repro.service import CostSharingService
 
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
@@ -459,11 +477,6 @@ def serve_command(argv: list[str]) -> int:
     parser.add_argument("--queue-limit", type=int, default=128,
                         help="admitted in-flight requests beyond which new "
                              "ones are answered 429 + Retry-After")
-    parser.add_argument("--no-adapt", action="store_true",
-                        help="disable the adaptive controller (keep "
-                             "--batch-window and --cache-size fixed)")
-    parser.add_argument("--adapt-interval", type=float, default=0.5,
-                        help="adaptive-controller tick interval in seconds")
     parser.add_argument("--request-log", default=None, metavar="PATH",
                         help="append one JSON line per priced request "
                              "('-' = stderr); with --workers > 1, a "
@@ -490,7 +503,7 @@ def serve_command(argv: list[str]) -> int:
               file=sys.stderr)
         return 2
 
-    from repro.observability import AdaptiveController, RequestLogger, SpanRecorder
+    from repro.observability import RequestLogger, SpanRecorder
 
     request_log = (RequestLogger.open(args.request_log)
                    if args.request_log else None)
@@ -505,37 +518,12 @@ def serve_command(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    controller = None
-    if not args.no_adapt:
-        # Bounds derived from the operator's flags: the controller may
-        # roam one order of magnitude around them, never further.  A
-        # zero flag disables that knob entirely.
-        controller = AdaptiveController(
-            service, interval=args.adapt_interval,
-            min_window=args.batch_window / 8, max_window=args.batch_window * 8,
-            min_capacity=max(1, args.cache_size // 4),
-            max_capacity=args.cache_size * 4)
-        controller.bus.subscribe(
-            lambda event: print(
-                f"adapt: {event['knob']} {event['previous']} -> "
-                f"{event['value']} ({event['reason']})", flush=True))
-
     def ready(server) -> None:
         # Machine-readable: loadgen/CI scrape the port from this line.
         print(f"serving on http://{args.host}:{server.port}", flush=True)
 
-    async def serve_main() -> None:
-        task = (asyncio.ensure_future(controller.run())
-                if controller is not None else None)
-        try:
-            await run_server(service, args.host, args.port, ready=ready)
-        finally:
-            if task is not None:
-                task.cancel()
-                await asyncio.gather(task, return_exceptions=True)
-
     try:
-        asyncio.run(serve_main())
+        asyncio.run(_serve_until_stopped(service, args.host, args.port, ready))
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
         pass
     except OSError as exc:
@@ -555,7 +543,7 @@ def _serve_fleet(args) -> int:
     processes and serve the consistent-hash router over them."""
     import asyncio
 
-    from repro.service import Fleet, run_server
+    from repro.service import Fleet
 
     try:
         fleet = Fleet(workers=args.workers, host=args.host,
@@ -583,7 +571,7 @@ def _serve_fleet(args) -> int:
         print(f"serving on http://{args.host}:{server.port}", flush=True)
 
     try:
-        asyncio.run(run_server(router, args.host, args.port, ready=ready))
+        asyncio.run(_serve_until_stopped(router, args.host, args.port, ready))
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
         pass
     except OSError as exc:

@@ -29,8 +29,6 @@ node_weighted
 mst
     Kruskal (with a merge-event trace used by the Jain-Vazirani cost
     shares), Prim and Boruvka minimum spanning trees.
-arborescence
-    Chu-Liu/Edmonds minimum spanning arborescence.
 steiner
     Metric closure, the Kou-Markowsky-Berman 2-approximate Steiner tree and
     the exact Dreyfus-Wagner dynamic program.
@@ -44,7 +42,6 @@ random_graphs
 
 from repro.graphs.adjacency import DiGraph, Graph
 from repro.graphs.addressable_heap import AddressableHeap
-from repro.graphs.arborescence import minimum_arborescence
 from repro.graphs.disjoint_set import DisjointSet
 from repro.graphs.mst import MergeEvent, kruskal_complete, kruskal_mst, prim_mst
 from repro.graphs.node_weighted import node_weighted_arc_matrix, node_weighted_dijkstra
@@ -86,7 +83,6 @@ __all__ = [
     "kruskal_complete",
     "kruskal_mst",
     "metric_closure",
-    "minimum_arborescence",
     "node_weighted_arc_matrix",
     "node_weighted_dijkstra",
     "prim_mst",

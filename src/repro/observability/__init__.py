@@ -12,15 +12,9 @@ into.  It is stdlib-only and deliberately small:
   :func:`parse_exposition` scraper; a process-wide
   :func:`default_registry` plus injectable instances, and a no-op
   :class:`NullRegistry` for overhead baselines.
-* :mod:`~repro.observability.events` — a synchronous :class:`EventBus`
-  with bounded replayable history.
 * :mod:`~repro.observability.logs` — :class:`RequestLogger` structured
   JSON request logs (one line per priced request) and
   :func:`scenario_hash` key digests.
-* :mod:`~repro.observability.adaptive` — the
-  :class:`AdaptiveController` closing the loop from observed arrival
-  and hit rates back onto the micro-batch window and LRU capacity,
-  with every decision event-logged for deterministic replay.
 * :mod:`~repro.observability.tracing` — distributed **request spans**
   (distinct from ``repro.traces`` workload traces): the
   :class:`Span`/:class:`SpanContext` model with W3C-traceparent-style
@@ -30,8 +24,6 @@ into.  It is stdlib-only and deliberately small:
   ``python -m repro spans report``.
 """
 
-from repro.observability.adaptive import AdaptiveController, AdaptObservation
-from repro.observability.events import EventBus
 from repro.observability.logs import RequestLogger, scenario_hash
 from repro.observability.metrics import (
     BATCH_OCCUPANCY_BUCKETS,
@@ -66,12 +58,9 @@ from repro.observability.tracing import (
 )
 
 __all__ = [
-    "AdaptObservation",
-    "AdaptiveController",
     "BATCH_OCCUPANCY_BUCKETS",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
-    "EventBus",
     "Gauge",
     "Histogram",
     "MetricFamily",

@@ -33,10 +33,7 @@ The whole pipeline publishes into one
 :class:`~repro.observability.MetricsRegistry` per service — stage
 latency histograms, store and batch counters, HTTP status rates —
 exposed as Prometheus text on ``GET /metrics`` and snapshotted under
-the ``"metrics"`` key of ``GET /v1/stats``; the
-:class:`~repro.observability.AdaptiveController` (on by default under
-``python -m repro serve``) adjusts the flush window and LRU capacity
-from that telemetry.
+the ``"metrics"`` key of ``GET /v1/stats``.
 """
 
 from repro.service.batching import MicroBatcher

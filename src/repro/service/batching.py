@@ -61,6 +61,7 @@ class MicroBatcher:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.store = store
+        self.window = max(0.0, float(window))
         self.max_batch = int(max_batch)
         self._executor = executor
         # Request-span recorder (tracing): each flush becomes one span
@@ -85,39 +86,12 @@ class MicroBatcher:
         self._h_occupancy = self.registry.histogram(
             "repro_batch_occupancy", "Requests per micro-batch flush",
             buckets=BATCH_OCCUPANCY_BUCKETS)
-        self._g_window = self.registry.gauge(
-            "repro_batch_window_seconds", "Micro-batch flush window in force")
+        self.registry.gauge(
+            "repro_batch_window_seconds",
+            "Micro-batch flush window in force").set(self.window)
         self._g_max_seen = self.registry.gauge(
             "repro_batch_max_size", "Largest flush observed")
         self._h_stage = stage_histogram(self.registry)
-        self.window = window  # property setter: clamps and records the gauge
-
-    # -- the flush window (adaptive controller's knob) -----------------------
-    @property
-    def window(self) -> float:
-        return self._window
-
-    @window.setter
-    def window(self, value: float) -> None:
-        self._window = max(0.0, float(value))
-        self._g_window.set(self._window)
-
-    # -- counters (registry-backed, read as plain ints) ----------------------
-    @property
-    def requests(self) -> int:
-        return int(self._c_requests.value)
-
-    @property
-    def batches(self) -> int:
-        return int(self._c_flushes.value)
-
-    @property
-    def batched_requests(self) -> int:
-        return int(self._c_batched.value)
-
-    @property
-    def max_batch_size(self) -> int:
-        return int(self._g_max_seen.value)
 
     # -- submission ----------------------------------------------------------
     async def submit(self, request: RunRequest) -> list:
@@ -137,10 +111,10 @@ class MicroBatcher:
         future: asyncio.Future = loop.create_future()
         self._pending.append((request, future, time.perf_counter(), context))
         self._c_requests.inc()
-        if self._window <= 0.0 or len(self._pending) >= self.max_batch:
+        if self.window <= 0.0 or len(self._pending) >= self.max_batch:
             self._flush()
         elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(self._window, self._flush)
+            self._flush_handle = loop.call_later(self.window, self._flush)
         return await future
 
     def pending(self) -> int:
@@ -304,7 +278,7 @@ class MicroBatcher:
         """Counter snapshot — one atomic read under the registry lock."""
         with self.registry.lock:
             return {
-                "window": self._window,
+                "window": self.window,
                 "max_batch": self.max_batch,
                 "requests": int(self._c_requests.value),
                 "batches": int(self._c_flushes.value),

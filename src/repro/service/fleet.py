@@ -70,7 +70,7 @@ from repro.service.protocol import (
     parse_body,
 )
 from repro.service.ring import DEFAULT_REPLICAS, HashRing
-from repro.service.server import METRICS_CONTENT_TYPE
+from repro.service.server import METRICS_CONTENT_TYPE, counter_total, status_counts
 
 READY_LINE = re.compile(r"serving on http://([^:\s]+):(\d+)")
 
@@ -225,7 +225,7 @@ def spawn_worker(shard: str, *, host: str = "127.0.0.1",
     env["PYTHONPATH"] = (src_root + os.pathsep + env["PYTHONPATH"]
                          if env.get("PYTHONPATH") else src_root)
     command = [sys.executable, "-m", "repro", "serve", "--host", host,
-               "--port", "0", "--no-adapt", "--shard", shard, *serve_args]
+               "--port", "0", "--shard", shard, *serve_args]
     process = subprocess.Popen(command, stdout=subprocess.PIPE,
                                env=env, text=True)
 
@@ -333,8 +333,6 @@ class FleetRouter:
         # same trace across the process boundary.
         self.spans = spans if spans is not None else NULL_SPAN_RECORDER
         self.spans.use_registry(self.registry)
-        self.requests_total = 0
-        self.responses: dict[int, int] = {}
         self._c_requests = self.registry.counter(
             "repro_router_requests_total", "Requests reaching the router",
             labels=("method", "path"))
@@ -415,7 +413,6 @@ class FleetRouter:
     # -- dispatch (the ServiceServer contract) -------------------------------
     async def dispatch(self, method: str, path: str, body: bytes = b"", *,
                        trace_context=None) -> tuple[int, dict | str, dict]:
-        self.requests_total += 1
         self._c_requests.labels(
             method=method,
             path=path if path in _KNOWN_PATHS else "other").inc()
@@ -438,7 +435,6 @@ class FleetRouter:
             span.set("status_code", status)
             span.finish(status="ok" if status < 500 else "error")
             headers = {**headers, TRACE_ID_HEADER: span.trace_id}
-        self.responses[status] = self.responses.get(status, 0) + 1
         self._c_responses.labels(code=str(status)).inc()
         return status, payload, headers
 
@@ -631,15 +627,17 @@ class FleetRouter:
         for stats in live.values():
             for code, count in stats.get("http", {}).get("responses", {}).items():
                 responses[code] = responses.get(code, 0) + count
+        snapshot = self.registry.snapshot()
         return {
             "schema": PROTOCOL_SCHEMA,
             "fleet": {
                 "workers": len(self.live_workers()),
                 "ring": self.ring.describe(),
                 "router": {
-                    "requests": self.requests_total,
-                    "responses": {str(code): count for code, count
-                                  in sorted(self.responses.items())},
+                    "requests": counter_total(
+                        snapshot, "repro_router_requests_total"),
+                    "responses": status_counts(
+                        snapshot, "repro_router_responses_total"),
                     "proxied": {worker.shard: worker.forwarded
                                 for worker in self.live_workers()},
                     "proxy_errors": int(self._c_proxy_errors.value),
@@ -688,13 +686,18 @@ class FleetRouter:
 
     # -- lifecycle -----------------------------------------------------------
     async def drain(self) -> None:
-        """Wait for every in-flight forward (ServiceServer.close calls
-        this); worker processes stay up — that is the supervisor's job."""
+        """Wait for every in-flight forward, then drop the pooled worker
+        connections (ServiceServer.close calls this); worker processes
+        stay up — that is the supervisor's job."""
         for worker in list(self.workers.values()):
             try:
                 await worker.wait_idle(self.drain_timeout)
             except asyncio.TimeoutError:  # pragma: no cover - stuck worker
                 pass
+            # Closed here, while the loop still runs: from Python 3.12 a
+            # worker's server waits for open client connections before it
+            # exits, so a pool left open would stall its shutdown.
+            worker.client.close()
 
 
 class Fleet:

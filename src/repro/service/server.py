@@ -72,14 +72,33 @@ from repro.service.state import SessionStore
 HTTP_REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
     409: "Conflict", 413: "Content Too Large", 429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error", 502: "Bad Gateway", 503: "Service Unavailable",
 }
 
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+# Header lines accepted per request; one more is answered 431.  Each line
+# is already bounded by the StreamReader limit, so this bounds the whole
+# header block a client can make the server hold.
+MAX_HEADERS = 100
+
 # Known routes keep their own label; anything else (typo'd paths, scans)
 # collapses into "other" so 404 traffic cannot mint unbounded label sets.
 _KNOWN_PATHS = ("/v1/run", "/v1/batch", "/v1/healthz", "/v1/stats", "/metrics")
+
+
+def counter_total(snapshot: dict, name: str) -> int:
+    """Sum over every series of counter ``name`` in a registry snapshot
+    (0 when the family is absent)."""
+    return int(sum(series.get("value", 0) for series in
+                   snapshot.get(name, {}).get("series", [])))
+
+
+def status_counts(snapshot: dict, name: str) -> dict[str, int]:
+    """``{code: count}`` of a status-code counter family in a snapshot."""
+    return {series["labels"]["code"]: int(series["value"])
+            for series in snapshot.get(name, {}).get("series", [])}
 
 
 class CostSharingService:
@@ -124,9 +143,6 @@ class CostSharingService:
         self.max_body = int(max_body)
         self.retry_after = float(retry_after)
         self._inflight = 0
-        self.requests_total = 0
-        self.rejected = 0
-        self.responses: dict[int, int] = {}
         # -- telemetry -------------------------------------------------------
         self._c_requests = self.registry.counter(
             "repro_http_requests_total", "HTTP requests dispatched",
@@ -156,7 +172,6 @@ class CostSharingService:
         priced request gets a ``request`` span and the response carries
         its trace id in ``X-Repro-Trace-Id``; the response *body* is
         bit-identical either way."""
-        self.requests_total += 1
         self._c_requests.labels(
             method=method,
             path=path if path in _KNOWN_PATHS else "other").inc()
@@ -188,7 +203,6 @@ class CostSharingService:
             span.set("status_code", status)
             span.finish(status="ok" if status < 500 else "error")
             headers = {**headers, TRACE_ID_HEADER: span.trace_id}
-        self.responses[status] = self.responses.get(status, 0) + 1
         self._c_responses.labels(code=str(status)).inc()
         if status >= 400 and self.request_log is not None:
             self.request_log.log(
@@ -339,31 +353,27 @@ class CostSharingService:
 
     def stats_payload(self) -> dict:
         snapshot = self.registry.snapshot()
-
-        def counter_total(name: str) -> int:
-            return int(sum(series.get("value", 0) for series in
-                           snapshot.get(name, {}).get("series", [])))
-
         # The multi-group substrate-sharing counters ride in the store
         # block (they are session-store state, published by the sessions
         # the store holds) so the fleet router's legacy-key aggregation
         # sums them instead of losing them in the merge.
         store = self.store.stats()
         store["substrate_sessions_built"] = counter_total(
-            "repro_trace_substrate_built_total")
+            snapshot, "repro_trace_substrate_built_total")
         store["substrate_sessions_shared"] = counter_total(
-            "repro_trace_substrate_shared_total")
+            snapshot, "repro_trace_substrate_shared_total")
         return {
             "schema": PROTOCOL_SCHEMA,
             **({"shard": self.shard} if self.shard is not None else {}),
             "store": store,
             "batcher": self.batcher.stats(),
             "http": {
-                "requests": self.requests_total,
+                "requests": counter_total(snapshot, "repro_http_requests_total"),
                 "in_flight": self._inflight,
                 "queue_limit": self.queue_limit,
-                "rejected": self.rejected,
-                "responses": {str(k): v for k, v in sorted(self.responses.items())},
+                "rejected": counter_total(snapshot, "repro_http_rejected_total"),
+                "responses": status_counts(snapshot,
+                                           "repro_http_responses_total"),
             },
             "spans": self.spans.stats_payload(),
             "metrics": snapshot,
@@ -384,7 +394,6 @@ class _Admission:
     async def __aenter__(self) -> None:
         service = self.service
         if service._inflight + self.cost > service.queue_limit:
-            service.rejected += 1
             service._c_rejected.inc()
             raise ProtocolError(
                 f"queue full ({service._inflight} in flight, limit "
@@ -532,16 +541,27 @@ class ServiceServer:
         method, target, version = parts
 
         headers: dict[str, str] = {}
+        received = 0
         while True:
             line = await asyncio.wait_for(reader.readline(), self.read_timeout)
             if line in (b"\r\n", b"\n", b""):
                 break
+            received += 1
+            if received > MAX_HEADERS:
+                # The rest of the header block stays unread, so the
+                # connection cannot be reused.
+                await self._respond(writer, 431, error_payload(
+                    f"more than {MAX_HEADERS} request header lines"),
+                    {}, keep_alive=False)
+                return False
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
 
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
+            length = -1
+        if length < 0:
             await self._respond(writer, 400,
                                 error_payload("invalid Content-Length"),
                                 {}, keep_alive=False)

@@ -129,9 +129,8 @@ class SessionStore:
             "Lookups that joined an in-flight build (single-flight)")
         self._g_size = self.registry.gauge(
             "repro_store_size", "Sessions currently retained")
-        self._g_capacity = self.registry.gauge(
-            "repro_store_capacity", "Session-store LRU capacity")
-        self._g_capacity.set(capacity)
+        self.registry.gauge(
+            "repro_store_capacity", "Session-store LRU capacity").set(capacity)
 
     def _record(self, outcome, extra=None) -> None:
         """One atomic compound counter update: lookups plus its outcome
@@ -205,27 +204,6 @@ class SessionStore:
         future.set_result(entry)
         return entry
 
-    # -- counters (registry-backed, read as plain ints) ----------------------
-    @property
-    def lookups(self) -> int:
-        return int(self._c_lookups.value)
-
-    @property
-    def hits(self) -> int:
-        return int(self._c_hits.value)
-
-    @property
-    def misses(self) -> int:
-        return int(self._c_misses.value)
-
-    @property
-    def evictions(self) -> int:
-        return int(self._c_evictions.value)
-
-    @property
-    def coalesced(self) -> int:
-        return int(self._c_coalesced.value)
-
     # -- inspection / management --------------------------------------------
     def __len__(self) -> int:
         with self._lock:
@@ -246,27 +224,6 @@ class SessionStore:
             self._entries.clear()
             with self.registry.lock:
                 self._g_size.set(0)
-
-    def resize(self, capacity: int) -> int:
-        """Change the LRU bound in place (the adaptive controller's
-        capacity knob), evicting LRU-first if shrinking below the current
-        population.  Returns the number of sessions evicted."""
-        capacity = int(capacity)
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        with self._lock:
-            self.capacity = capacity
-            evicted = 0
-            while len(self._entries) > capacity:
-                self._entries.popitem(last=False)
-                evicted += 1
-            size = len(self._entries)
-            with self.registry.lock:
-                self._g_capacity.set(capacity)
-                if evicted:
-                    self._c_evictions.inc(evicted)
-                self._g_size.set(size)
-        return evicted
 
     def stats(self) -> dict:
         """Counter snapshot — one atomic read under the registry lock, so

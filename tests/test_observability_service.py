@@ -288,28 +288,6 @@ def test_store_counters_never_tear_under_concurrent_lookups(monkeypatch):
     assert final["evictions"] >= 1  # capacity 2 over 4 keys did evict
 
 
-def test_store_resize_is_the_capacity_knob(monkeypatch):
-    import repro.service.state as state
-
-    monkeypatch.setattr(state, "build_session", lambda spec: object())
-    store = SessionStore(capacity=8)
-    for i in range(6):
-        store.get(None, key=f"k{i}")
-    assert len(store) == 6 and store.evictions == 0
-
-    evicted = store.resize(3)
-    assert evicted == 3 and len(store) == 3
-    assert store.capacity == 3 and store.evictions == 3
-    # LRU-first: the oldest keys went, the warmest stayed.
-    assert store.keys() == ["k3", "k4", "k5"]
-    assert store.resize(10) == 0  # growing evicts nothing
-    snapshot = store.registry.snapshot()
-    capacity_series, = snapshot["repro_store_capacity"]["series"]
-    assert capacity_series["value"] == 10
-    size_series, = snapshot["repro_store_size"]["series"]
-    assert size_series["value"] == 3
-
-
 # -- loadgen report over crafted scrapes --------------------------------------
 def _crafted_metrics(*, solo_flushes: int, multi_flushes: int) -> str:
     registry = MetricsRegistry()

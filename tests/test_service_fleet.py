@@ -19,6 +19,7 @@ import json
 import os
 import pathlib
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -422,6 +423,19 @@ def test_fleet_cli_serves_workers_behind_one_router():
             mechanisms=["tree-shapley"], profile_count=1, keys=6, zipf=1.1)
         assert report.statuses == {200: 20}
         assert report.check(expect_shards=2) == []
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            connection.request("GET", "/v1/fleet")
+            topology = json.loads(connection.getresponse().read())
+        finally:
+            connection.close()
+        worker_ports = [worker["port"] for worker in topology["workers"]]
+        assert len(worker_ports) == 2
     finally:
         process.terminate()
         process.wait(timeout=30)
+    # SIGTERM unwinds the router like Ctrl-C: it terminates its workers
+    # before exiting, so none is left orphaned still holding its port.
+    for worker_port in worker_ports:
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", worker_port), timeout=5)

@@ -14,6 +14,7 @@ import json
 from repro.api import MulticastSession, ScenarioSpec, available_mechanisms, result_to_dict
 from repro.dynamic import ChurnSpec, DynamicScenarioSpec
 from repro.service import CostSharingService, ServiceClient, ServiceServer
+from repro.service.server import MAX_HEADERS
 
 
 def _spec(seed: int, n: int = 6) -> ScenarioSpec:
@@ -222,7 +223,7 @@ def test_unexpected_dispatch_exception_is_a_counted_500(monkeypatch):
         assert status == 500
         assert "internal error" in payload["error"]
         assert "wires crossed" in payload["error"]
-        assert client.service.responses[500] == 1
+        assert client.service.stats_payload()["http"]["responses"]["500"] == 1
     run(go())
 
 
@@ -259,7 +260,7 @@ def test_full_queue_backpressure_is_429_with_retry_after():
         assert status == 429
         assert "queue full" in payload["error"]
         assert headers.get("Retry-After") == "0.25"
-        assert service.rejected == 1
+        assert service.stats_payload()["http"]["rejected"] == 1
         await service.batcher.drain()
         results = await asyncio.gather(*pending)
         assert all(s == 200 for s, _ in results)
@@ -399,6 +400,63 @@ def test_http_server_round_trip_keep_alive_and_errors():
                 assert status == 400 and "unreadable" in payload["error"]
             finally:
                 writer.close()
+        finally:
+            await server.close()
+
+    run(go())
+
+
+async def _exchange(port: int, raw: bytes) -> tuple[tuple[int, dict, dict], bytes]:
+    """Send ``raw`` on a fresh connection; returns the parsed response and
+    whatever the server sent after it (``b""`` once it hung up)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(raw)
+        await writer.drain()
+        response = await _read_response(reader)
+        return response, await reader.read()
+    finally:
+        writer.close()
+
+
+def test_http_header_lines_beyond_the_cap_are_431():
+    async def go():
+        server = await ServiceServer(CostSharingService(batch_window=0.0),
+                                     port=0).start()
+        try:
+            # One line over the cap, and the header block never ends: the
+            # server stops reading, answers 431 and hangs up.
+            flood = b"".join(b"X-Filler-%d: %d\r\n" % (i, i)
+                             for i in range(MAX_HEADERS + 1))
+            (status, payload, headers), rest = await _exchange(
+                server.port, b"GET /v1/healthz HTTP/1.1\r\n" + flood)
+            assert status == 431 and str(MAX_HEADERS) in payload["error"]
+            assert headers["connection"] == "close" and rest == b""
+            # Exactly MAX_HEADERS lines (Host and Content-Length included)
+            # are still served.
+            filler = "".join(f"X-Filler-{i}: {i}\r\n"
+                             for i in range(MAX_HEADERS - 2))
+            status, health, _ = await _raw_http(server.port, "GET",
+                                                "/v1/healthz", extra=filler)
+            assert status == 200 and health["status"] == "ok"
+        finally:
+            await server.close()
+
+    run(go())
+
+
+def test_http_negative_content_length_is_400():
+    async def go():
+        server = await ServiceServer(CostSharingService(batch_window=0.0),
+                                     port=0).start()
+        try:
+            for length in (b"-5", b"five"):
+                (status, payload, headers), rest = await _exchange(
+                    server.port, b"POST /v1/run HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: " + length + b"\r\n\r\n")
+                assert status == 400, length
+                assert payload["error"] == "invalid Content-Length"
+                assert headers["connection"] == "close" and rest == b""
         finally:
             await server.close()
 
