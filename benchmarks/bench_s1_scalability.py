@@ -14,6 +14,10 @@ Instance sizes are CLI-parameterizable: ``--s1-sizes 64,256`` overrides
 the standard grid below, and ``--s1-large-sizes 2000`` overrides the
 large-n session cases (receivers-restricted scenarios priced through the
 terminal-sourced closure, including the ``*-approx`` Mehlhorn family).
+
+The dense-receiver ``jv`` cases (every station in the profile, k = n - 1,
+warm session) time what a repeated served request pays: the closure MST
+behind the shares' total and the KMB served tree, rebuilt per request.
 """
 
 import dataclasses
@@ -39,6 +43,7 @@ from repro.wireless import EuclideanCostGraph, UniversalTree
 STANDARD_SIZES = [10, 20, 40, 120]
 LARGE_SIZES = [500]
 APPROX_SIZES = [1000]
+DENSE_JV_SIZES = [60, 200]
 
 
 def _sizes(config, option, default):
@@ -152,6 +157,25 @@ def test_scaling_large_jv(benchmark, s1_large_n):
     sess, profile = large_session_case(s1_large_n)
     mech = sess.mechanism("jv")
     result = benchmark(mech.run, profile)
+    assert result.total_charged() >= result.cost - 1e-9
+
+
+def dense_jv_session(n, seed=0):
+    """Every station a receiver, warmed by one run: the closure and this
+    profile's xi entries are built, so the rounds time a repeated request."""
+    sess = MulticastSession(ScenarioSpec.from_random(n=n, alpha=2.0, seed=seed))
+    rng = np.random.default_rng(seed)
+    profile = {i: float(rng.uniform(0.0, 50.0)) for i in sess.agents()}
+    sess.run("jv", profile)
+    return sess, profile
+
+
+@pytest.mark.benchmark(group="EXP-S1 dense-receiver jv")
+@pytest.mark.parametrize("n", DENSE_JV_SIZES)
+def test_scaling_dense_jv_warm(benchmark, n):
+    sess, profile = dense_jv_session(n)
+    result = benchmark(sess.run, "jv", profile)
+    assert len(result.receivers) >= (n - 1) * 9 // 10
     assert result.total_charged() >= result.cost - 1e-9
 
 

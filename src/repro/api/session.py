@@ -8,7 +8,8 @@ only on the *scenario* is built lazily, once, and shared:
   and its dense array backend;
 * universal trees, per construction kind (shared by ``tree-shapley`` and
   ``tree-mc``);
-* the metric closure (shared by every ``jv`` parameterization);
+* the metric closure with its predecessor rows (shared by every ``jv``
+  parameterization: the shares and the served trees);
 * mechanism instances, per ``(name, params)``;
 * memoised cost-sharing methods ``xi(R)`` (a
   :class:`~repro.engine.batch.MethodCache` per mechanism) for the
@@ -143,14 +144,17 @@ class MulticastSession:
             return tree
 
     def metric_closure(self):
-        """All-pairs shortest-path matrix of the network (built once;
-        shared by every Jain-Vazirani parameterization)."""
+        """The all-pairs closure of the network: a
+        :class:`~repro.engine.closure.TerminalClosure` sourced at every
+        station, distance and predecessor rows from one batched Dijkstra
+        (built once; shared by every Jain-Vazirani parameterization, its
+        shares and its served trees)."""
         with self._lock:
             if self._closure is None:
-                from repro.core.jv_steiner import metric_closure_matrix
+                from repro.engine.closure import TerminalClosure
 
                 self._closure = self._timed_build(
-                    "closure", lambda: metric_closure_matrix(self.network))
+                    "closure", lambda: TerminalClosure.all_stations(self.network))
             return self._closure
 
     def terminal_closure(self):
@@ -160,9 +164,9 @@ class MulticastSession:
         :class:`~repro.engine.closure.TerminalClosure` over
         ``{source} + receivers`` — ``O(k n^2)`` to build instead of the
         ``O(n^3)`` all-pairs pass, with bit-identical rows (and therefore
-        bit-identical shares).  Without one, every station is a potential
-        terminal and the full matrix *is* the terminal closure, so this
-        falls through to :meth:`metric_closure`.
+        bit-identical shares and served trees).  Without one, every
+        station is a potential terminal, so this falls through to
+        :meth:`metric_closure`.
         """
         if self.scenario.receivers is None:
             return self.metric_closure()

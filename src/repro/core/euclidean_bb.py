@@ -10,7 +10,10 @@ heuristic to build the actual power assignment:
   budget balance;
 * the built assignment comes from the KMB Steiner tree oriented away from
   the source, whose cost never exceeds the closure MST weight — so the
-  charges always cover the built solution (cost recovery);
+  charges always cover the built solution (cost recovery).  The shares,
+  their total and the tree's step 1 all take that MST from one kernel
+  (:func:`repro.engine.moats.closure_mst`), and the tree expands its
+  edges along the predecessor rows of the mechanism's closure;
 * cross-monotonicity makes the whole mechanism group strategyproof and
   NPT/VP/CS (Moulin-Shenker, extended to beta-BB by Jain-Vazirani).
 
@@ -24,6 +27,7 @@ from collections.abc import Mapping
 
 from repro.api.registry import register_mechanism
 from repro.core.jv_steiner import JVSteinerShares
+from repro.engine.closure import TerminalClosure
 from repro.graphs.steiner import kmb_steiner_tree
 from repro.mechanism.base import Agent, CostSharingMechanism, MechanismResult, Profile
 from repro.mechanism.moulin_shenker import moulin_shenker
@@ -40,7 +44,14 @@ def jv_bb_bound(d: int) -> float:
 
 
 class EuclideanJVMechanism(CostSharingMechanism):
-    """Group-strategyproof beta-BB mechanism for Euclidean wireless multicast."""
+    """Group-strategyproof beta-BB mechanism for Euclidean wireless multicast.
+
+    ``closure`` is an optional precomputed
+    :class:`~repro.engine.closure.TerminalClosure` of ``network`` covering
+    the source and every agent (a session's); by default one is sourced at
+    every station.  The shares read its distance rows and the served tree
+    its predecessor rows.
+    """
 
     def __init__(
         self,
@@ -53,6 +64,11 @@ class EuclideanJVMechanism(CostSharingMechanism):
     ) -> None:
         self.network = network
         self.source = source
+        if closure is None:
+            closure = TerminalClosure.all_stations(network)
+        elif not isinstance(closure, TerminalClosure):
+            raise TypeError("closure must be a TerminalClosure: the served "
+                            "tree reads its predecessor rows")
         self.jv = JVSteinerShares(network, source, agent_weights, closure=closure)
         if agents is None:
             self.agents = [i for i in range(network.n) if i != source]
@@ -65,7 +81,8 @@ class EuclideanJVMechanism(CostSharingMechanism):
             from repro.wireless.power import PowerAssignment
 
             return 0.0, PowerAssignment.zeros(self.network.n)
-        tree = kmb_steiner_tree(self.network.as_dense(), [self.source, *sorted(R)])
+        tree = kmb_steiner_tree(self.network.as_dense(), [self.source, *sorted(R)],
+                                closure=self.jv.closure)
         power = steiner_heuristic_power(
             self.network, [(u, v) for u, v, _ in tree.edges], self.source
         )
@@ -92,7 +109,7 @@ def _build_jv(session, *, agent_weights: Mapping | None = None) -> EuclideanJVMe
         session.network, session.source, agent_weights,
         # With an explicit receiver subset the terminal-sourced closure
         # prices every reachable coalition bit-identically at O(k n^2)
-        # build cost; without one it IS the full matrix.
+        # build cost; without one it is sourced at every station.
         closure=session.terminal_closure(),
         agents=None if receivers is None else session.agents(),
     )

@@ -66,8 +66,10 @@ class JVSteinerShares:
         :class:`~repro.engine.closure.TerminalClosure` sourced at
         ``{source} + receivers`` (O(k n^2) instead of O(n^3) to build;
         shares are bit-identical as long as every requested agent is a
-        closure terminal).  Lets a long-lived session amortize the
-        shortest-path work across share families.
+        closure terminal) or at every station.  Lets a long-lived
+        session amortize the shortest-path work across share families
+        and, through the closure's predecessor rows, the served trees of
+        :class:`~repro.core.euclidean_bb.EuclideanJVMechanism`.
     """
 
     def __init__(
@@ -106,11 +108,14 @@ class JVSteinerShares:
         return float(self.agent_weights.get(i, 1.0))
 
     def shares(self, R: frozenset) -> dict[Agent, float]:
-        """``xi(R, .)`` via the moat process (O(k^2 log k)).
+        """``xi(R, .)`` via the moat process.
 
-        Runs on the index-array kernel of :mod:`repro.engine.moats` — same
-        merge schedule and shares as the dict-graph Kruskal trace, without
-        materialising a graph or component snapshots per call.
+        Runs on the index-array kernels of :mod:`repro.engine.moats`: the
+        closure MST in ``O(k^2)`` (:func:`~repro.engine.moats.closure_mst`,
+        Kruskal's edges and tie-breaks), then the moat loop over its
+        ``k - 1`` edges — same merge schedule and shares as the dict-graph
+        Kruskal trace, without materialising a graph, sorting every
+        closure edge or snapshotting components per call.
         """
         R = sorted(set(R) - {self.source})
         if not R:

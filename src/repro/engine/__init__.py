@@ -9,8 +9,9 @@ The engine has two halves:
   :mod:`repro.engine.backend` — the :class:`GraphBackend` protocol both
   the adjacency-map containers and the array graphs satisfy, plus
   coercions; :mod:`repro.engine.trees` / :mod:`repro.engine.moats` —
-  flat-array kernels for the universal-tree mechanisms and the
-  Jain-Vazirani moat shares.
+  flat-array kernels for the universal-tree mechanisms, the
+  Jain-Vazirani moat shares and the closure MST they share with the KMB
+  served tree (:func:`closure_mst`).
 
 * **pipeline** (:mod:`repro.engine.batch`, imported lazily because it
   sits *above* :mod:`repro.core`): memoised batch evaluation of one
@@ -28,7 +29,7 @@ from repro.engine.backend import (
     out_neighbors,
 )
 from repro.engine.dense import ArrayGraph, CSRGraph, DenseGraph, batched_dijkstra
-from repro.engine.moats import moat_mst_weight, moat_shares
+from repro.engine.moats import closure_mst, moat_mst_weight, moat_shares
 from repro.engine.trees import TreeIndex, efficient_set, water_filling_shares
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "UniversalTreeBatch",
     "as_array_backend",
     "batched_dijkstra",
+    "closure_mst",
     "efficient_set",
     "is_array_backend",
     "moat_mst_weight",

@@ -5,16 +5,22 @@ The seed pipeline priced every Jain-Vazirani request against the *full*
 when only ``k + 1`` stations (``{source} + receivers``) ever appear in a
 moat process.  :class:`TerminalClosure` stores just the ``(k, n)`` distance
 rows sourced at the terminals — ``O(k n^2)`` to build on the dense kernel,
-``O(k (m + n log n))`` on CSR — and serves the same submatrices.
+``O(k (m + n log n))`` on CSR — and serves the same submatrices.  The same
+Dijkstra pass also leaves each terminal's predecessor row, so the KMB
+served tree (:func:`repro.graphs.steiner.kmb_steiner_tree`) rebuilds its
+witness paths from the closure instead of re-running Dijkstra per request.
+A session without a receiver subset sources the closure at every station.
 
 Bit-identity: every closure row in this codebase is a Dijkstra distance
 field, and the lockstep rows of
 :func:`repro.engine.dense.batched_dijkstra` are arithmetically independent
-(each row relaxes only its own sums).  Sourcing the batch at a subset of
-nodes therefore reproduces the full closure's rows *exactly*, so any moat
-schedule — and any share — computed through a :class:`TerminalClosure` is
-bit-identical to the full-closure result (property-tested in
-``tests/test_terminal_closure.py``).
+(each row relaxes only its own sums, and picks its own predecessors).
+Sourcing the batch at a subset of nodes therefore reproduces the full
+closure's rows *exactly*, so any moat schedule — and any share — computed
+through a :class:`TerminalClosure` is bit-identical to the full-closure
+result (property-tested in ``tests/test_terminal_closure.py``), and every
+witness path equals the one a Dijkstra batch over just the request's
+terminals would give.
 """
 
 from __future__ import annotations
@@ -25,27 +31,31 @@ import numpy as np
 
 
 class TerminalClosure:
-    """Shortest-path distances sourced only at ``terminals``.
+    """Shortest-path distances and predecessors sourced only at ``terminals``.
 
     Behaves like the terminal rows of the full all-pairs closure matrix:
     ``submatrix(pts)`` returns the ``(len(pts), len(pts))`` closure block
     for any ``pts`` drawn from the terminal set (raising ``ValueError``
-    on foreign stations, where a full matrix would silently answer).
+    on foreign stations, where a full matrix would silently answer), and
+    ``path(u, v)`` walks terminal ``u``'s predecessor row back from ``v``.
     """
 
-    __slots__ = ("n", "terminals", "rows", "_col")
+    __slots__ = ("n", "terminals", "rows", "parents", "_col")
 
-    def __init__(self, n: int, terminals: Sequence[int], rows: np.ndarray) -> None:
+    def __init__(self, n: int, terminals: Sequence[int], rows: np.ndarray,
+                 parents: np.ndarray) -> None:
         self.n = int(n)
         self.terminals = tuple(int(t) for t in terminals)
         rows = np.asarray(rows, dtype=float)
-        if rows.shape != (len(self.terminals), self.n):
+        parents = np.asarray(parents, dtype=np.int64)
+        if rows.shape != (len(self.terminals), self.n) or parents.shape != rows.shape:
             raise ValueError(
-                f"rows shape {rows.shape} does not match "
-                f"{len(self.terminals)} terminals over n={self.n}")
+                f"rows shape {rows.shape} / parents shape {parents.shape} do "
+                f"not match {len(self.terminals)} terminals over n={self.n}")
         if len(set(self.terminals)) != len(self.terminals):
             raise ValueError("terminals must be distinct")
         self.rows = rows
+        self.parents = parents
         self._col = {t: i for i, t in enumerate(self.terminals)}
 
     @classmethod
@@ -53,15 +63,22 @@ class TerminalClosure:
         """Build from a :class:`~repro.wireless.CostGraph` (dense kernel:
         one lockstep batched Dijkstra over the terminal rows)."""
         terminals = [int(t) for t in terminals]
-        rows = network.as_dense().metric_closure_arrays(terminals)
-        return cls(network.n, terminals, rows)
+        return cls(network.n, terminals,
+                   *network.as_dense().metric_closure_arrays(terminals))
+
+    @classmethod
+    def all_stations(cls, network) -> "TerminalClosure":
+        """The full closure of ``network``, sourced at every station: its
+        rows are the all-pairs matrix's, bit for bit, and its predecessor
+        rows give every served tree its witness paths."""
+        return cls.from_network(network, range(network.n))
 
     @classmethod
     def from_graph(cls, graph, terminals: Sequence[int]) -> "TerminalClosure":
         """Build from any array backend (``DenseGraph`` uses the lockstep
         batch; ``CSRGraph`` one heap Dijkstra per terminal)."""
         terminals = [int(t) for t in terminals]
-        return cls(graph.n, terminals, graph.metric_closure_arrays(terminals))
+        return cls(graph.n, terminals, *graph.metric_closure_arrays(terminals))
 
     def covers(self, pts: Sequence[int]) -> bool:
         return all(int(p) in self._col for p in pts)
@@ -76,6 +93,21 @@ class TerminalClosure:
         rows = [self._require(p) for p in pts]
         cols = [int(p) for p in pts]
         return self.rows[np.ix_(rows, cols)]
+
+    def path(self, u: int, v: int) -> list[int]:
+        """The shortest ``u -> v`` path of terminal ``u``'s Dijkstra tree
+        (``v`` may be any station); ``ValueError`` when ``v`` is
+        unreachable from ``u``."""
+        row = self._require(u)
+        u, v = int(u), int(v)
+        if not np.isfinite(self.rows[row, v]):
+            raise ValueError(f"terminals {u!r} and {v!r} are disconnected")
+        parents = self.parents[row]
+        path = [v]
+        while path[-1] != u:
+            path.append(int(parents[path[-1]]))
+        path.reverse()
+        return path
 
     def _require(self, p: int) -> int:
         try:

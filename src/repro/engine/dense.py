@@ -210,10 +210,13 @@ class DenseGraph(ArrayGraph):
         """All-pairs shortest distances, all sources relaxed in lockstep."""
         return batched_dijkstra(self._w)
 
-    def metric_closure_arrays(self, terminals: Iterable[int]) -> np.ndarray:
-        """Shortest-path distances from each terminal to every node:
-        row ``i`` is the Dijkstra field of ``terminals[i]``."""
-        return batched_dijkstra(self._w, list(terminals))
+    def metric_closure_arrays(
+        self, terminals: Iterable[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Shortest-path distances and predecessors from each terminal to
+        every node: row ``i`` is the Dijkstra field (and shortest-path
+        tree) of ``terminals[i]``."""
+        return batched_dijkstra(self._w, list(terminals), return_parents=True)
 
     def multi_source_arrays(
         self, seeds: Iterable[int]
@@ -407,19 +410,23 @@ class CSRGraph(ArrayGraph):
             list(seeds), None)
         return dist, nearest, parent
 
-    def metric_closure_arrays(self, terminals: Iterable[int]) -> np.ndarray:
-        """Shortest-path distances from each terminal to every node (one
-        heap Dijkstra per terminal: ``O(k (m + n log n))`` total)."""
+    def metric_closure_arrays(
+        self, terminals: Iterable[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Shortest-path distances and predecessors from each terminal to
+        every node (one heap Dijkstra per terminal: ``O(k (m + n log n))``
+        total)."""
         terminals = list(terminals)
-        out = np.full((len(terminals), self._n), _INF)
+        dist = np.full((len(terminals), self._n), _INF)
+        parent = np.full((len(terminals), self._n), -1, dtype=np.int64)
         for i, t in enumerate(terminals):
-            out[i] = self.heap_dijkstra_arrays(int(t))[0]
-        return out
+            dist[i], parent[i], _ = self.heap_dijkstra_arrays(int(t))
+        return dist, parent
 
     def all_pairs_arrays(self) -> np.ndarray:
         """All-pairs shortest distances (a heap Dijkstra per node — no
         dense ``(n, n)`` intermediate beyond the result itself)."""
-        return self.metric_closure_arrays(range(self._n))
+        return self.metric_closure_arrays(range(self._n))[0]
 
     def prim_arrays(self, root: int) -> list[tuple[int, int, float]]:
         if self.directed:
@@ -611,6 +618,6 @@ def batched_dijkstra(
         cand = du[:, None] + w[u]  # exhausted rows stay at inf: no updates
         better = cand < dist
         if return_parents:
-            parent = np.where(better, u[:, None], parent)
+            np.copyto(parent, u[:, None], where=better)
         dist[better] = cand[better]
     return (dist, parent) if return_parents else dist

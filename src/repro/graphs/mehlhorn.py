@@ -32,8 +32,7 @@ from repro.engine.backend import as_array_backend
 from repro.engine.dense import ArrayGraph, DenseGraph
 from repro.graphs.adjacency import Graph
 from repro.graphs.disjoint_set import DisjointSet
-from repro.graphs.mst import prim_mst
-from repro.graphs.steiner import SteinerTree
+from repro.graphs.steiner import SteinerTree, pruned_spanning_tree
 
 
 @dataclass(frozen=True)
@@ -202,20 +201,4 @@ def mehlhorn_steiner_tree(
                 expanded.add_edge(p, x, arr.weight(p, x))
                 x = p
 
-    tree_edges = prim_mst(expanded, root=terminals[0])
-    tree = Graph()
-    tree.add_nodes(expanded.nodes())
-    for a, b, w in tree_edges:
-        tree.add_edge(a, b, w)
-
-    terminal_set = set(terminals)
-    changed = True
-    while changed:
-        changed = False
-        for node in list(tree.nodes()):
-            if node not in terminal_set and tree.degree(node) <= 1:
-                tree.remove_node(node)
-                changed = True
-
-    edges = tuple(sorted(tree.edges(), key=lambda e: (repr(e[0]), repr(e[1]))))
-    return SteinerTree(edges, sum(w for _, _, w in edges), frozenset(tree.nodes()))
+    return pruned_spanning_tree(expanded, terminals)

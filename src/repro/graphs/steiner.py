@@ -2,11 +2,16 @@
 
 Three tools the paper's section 3.2 machinery needs:
 
-* :func:`metric_closure` — shortest-path distances (and paths) between the
-  terminals, the space in which both the KMB approximation and the
-  Jain-Vazirani cost shares live;
+* :func:`metric_closure` — shortest-path distances between the terminals
+  (a witness path is rebuilt from the predecessors only when asked), the
+  space in which both the KMB approximation and the Jain-Vazirani cost
+  shares live;
 * :func:`kmb_steiner_tree` — the classic Kou-Markowsky-Berman
-  2(1-1/k)-approximation [34 in the paper];
+  2(1-1/k)-approximation [34 in the paper].  Its closure MST is the JV
+  shares' kernel (:func:`repro.engine.moats.closure_mst`), and it builds
+  on a closure the caller already holds (a session's
+  :class:`~repro.engine.closure.TerminalClosure`), expanding only the
+  ``k - 1`` MST edges into paths;
 * :func:`dreyfus_wagner` — the exact O(3^k n) dynamic program, used as the
   optimum oracle when validating the approximation and budget-balance
   factors.
@@ -14,13 +19,17 @@ Three tools the paper's section 3.2 machinery needs:
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.engine.backend import as_array_backend
-from repro.engine.dense import ArrayGraph, batched_dijkstra
+from repro.engine.closure import TerminalClosure
+from repro.engine.dense import ArrayGraph
+from repro.engine.moats import closure_mst
 from repro.graphs.adjacency import Graph
-from repro.graphs.mst import kruskal_complete, prim_mst
+from repro.graphs.mst import prim_mst
 from repro.graphs.shortest_paths import all_pairs_dijkstra, dijkstra, reconstruct_path
 
 Node = Hashable
@@ -35,15 +44,39 @@ def _all_pairs_fast(graph: Graph | ArrayGraph) -> dict[Node, dict[Node, float]]:
     return all_pairs_dijkstra(graph if arr is None else arr)
 
 
-@dataclass(frozen=True)
 class MetricClosure:
-    """Terminal-to-terminal shortest distances and one witness path each."""
+    """Terminal-to-terminal shortest distances over any node labels, with
+    a witness path rebuilt only when asked.
 
-    distance: dict[Node, dict[Node, float]]
-    path: dict[tuple[Node, Node], list[Node]]
+    ``matrix[a, b]`` is the distance from ``terminals[a]`` to
+    ``terminals[b]``, and ``path(u, v)`` returns one shortest ``u -> v``
+    path.  On an array graph both come from a
+    :class:`~repro.engine.closure.TerminalClosure` (its rows and its
+    predecessor rows); a dict graph keeps each terminal's Dijkstra
+    predecessor map.
+    """
+
+    def __init__(self, terminals: Sequence[Node], matrix: np.ndarray,
+                 path: Callable[[Node, Node], list[Node]]) -> None:
+        self.terminals = tuple(terminals)
+        self.matrix = matrix
+        self.path = path
+        self._index = {t: a for a, t in enumerate(self.terminals)}
+
+    @property
+    def distance(self) -> dict[Node, dict[Node, float]]:
+        """``distance[u][v]`` for every ordered pair of distinct terminals."""
+        return {u: {v: float(self.matrix[a, b])
+                    for b, v in enumerate(self.terminals) if b != a}
+                for a, u in enumerate(self.terminals)}
 
     def dist(self, u: Node, v: Node) -> float:
-        return 0.0 if u == v else self.distance[u][v]
+        return 0.0 if u == v else float(self.matrix[self._index[u], self._index[v]])
+
+    def submatrix(self, pts: Sequence[Node]) -> np.ndarray:
+        """The distance block among ``pts`` (rows are the sources)."""
+        idx = [self._index[p] for p in pts]
+        return self.matrix[np.ix_(idx, idx)]
 
 
 def metric_closure(graph: Graph | ArrayGraph, terminals: Sequence[Node]) -> MetricClosure:
@@ -53,51 +86,27 @@ def metric_closure(graph: Graph | ArrayGraph, terminals: Sequence[Node]) -> Metr
     sweep (:func:`repro.engine.dense.batched_dijkstra`); dict graphs run
     one early-exit heap Dijkstra per terminal.  Distances agree exactly;
     witness paths may differ only between equally-short alternatives.
+    Raises ``ValueError`` when two terminals are disconnected.
     """
-    terminals = list(terminals)
+    terminals = list(dict.fromkeys(terminals))
     if isinstance(graph, ArrayGraph) and hasattr(graph, "matrix"):
-        return _metric_closure_dense(graph, terminals)
-    distance: dict[Node, dict[Node, float]] = {}
-    paths: dict[tuple[Node, Node], list[Node]] = {}
-    targets = set(terminals)
-    for t in terminals:
-        dist, parent = dijkstra(graph, t, targets=targets)
-        row = {}
-        for other in terminals:
-            if other == t:
-                continue
-            if other not in dist:
-                raise ValueError(f"terminals {t!r} and {other!r} are disconnected")
-            row[other] = dist[other]
-            paths[(t, other)] = reconstruct_path(parent, other)
-        distance[t] = row
-    return MetricClosure(distance, paths)
-
-
-def _metric_closure_dense(graph: ArrayGraph, terminals: list[Node]) -> MetricClosure:
-    import numpy as np
-
-    term_idx = [int(t) for t in terminals]
-    dist_mat, parent_mat = batched_dijkstra(graph.matrix, term_idx, return_parents=True)
-    distance: dict[Node, dict[Node, float]] = {}
-    paths: dict[tuple[Node, Node], list[Node]] = {}
-    for a, t in enumerate(terminals):
-        row = {}
-        parents = parent_mat[a]
-        for other in terminals:
-            if other == t:
-                continue
-            d = dist_mat[a, int(other)]
-            if not np.isfinite(d):
-                raise ValueError(f"terminals {t!r} and {other!r} are disconnected")
-            row[other] = float(d)
-            path = [int(other)]
-            while path[-1] != int(t):
-                path.append(int(parents[path[-1]]))
-            path.reverse()
-            paths[(t, other)] = path
-        distance[t] = row
-    return MetricClosure(distance, paths)
+        idx = [int(t) for t in terminals]
+        rows = TerminalClosure(graph.n, idx, *graph.metric_closure_arrays(idx))
+        matrix, path = rows.submatrix(idx), rows.path
+    else:
+        matrix = np.empty((len(terminals), len(terminals)))
+        parents = {}
+        targets = set(terminals)
+        for a, t in enumerate(terminals):
+            dist, parents[t] = dijkstra(graph, t, targets=targets)
+            matrix[a] = [dist.get(other, np.inf) for other in terminals]
+        path = lambda u, v: reconstruct_path(parents[u], v)
+    unreachable = np.argwhere(~np.isfinite(matrix))
+    if len(unreachable):
+        a, b = unreachable[0]
+        raise ValueError(
+            f"terminals {terminals[a]!r} and {terminals[b]!r} are disconnected")
+    return MetricClosure(terminals, matrix, path)
 
 
 @dataclass(frozen=True)
@@ -116,27 +125,42 @@ class SteinerTree:
         return g
 
 
-def kmb_steiner_tree(graph: Graph, terminals: Sequence[Node]) -> SteinerTree:
+def kmb_steiner_tree(graph: Graph | ArrayGraph, terminals: Sequence[Node], *,
+                     closure=None) -> SteinerTree:
     """Kou-Markowsky-Berman 2-approximate minimum Steiner tree.
 
     Steps: MST of the metric closure; expand closure edges into shortest
     paths; MST of the expanded subgraph; prune non-terminal leaves.
+
+    ``closure`` is a shortest-path closure covering ``terminals`` that the
+    caller already holds — a :class:`~repro.engine.closure.TerminalClosure`
+    (as a :class:`~repro.api.MulticastSession` keeps) or a
+    :class:`MetricClosure`; without one, :func:`metric_closure` builds it.
+    Step 1 is :func:`repro.engine.moats.closure_mst`, Kruskal's tree and
+    tie-breaks, and only its ``k - 1`` edges are expanded into paths.
+    Raises ``ValueError`` when two terminals are disconnected.
     """
     terminals = list(dict.fromkeys(terminals))
     if not terminals:
         return SteinerTree((), 0.0, frozenset())
     if len(terminals) == 1:
         return SteinerTree((), 0.0, frozenset(terminals))
-    closure = metric_closure(graph, terminals)
-    closure_mst, _ = kruskal_complete(terminals, closure.dist)
+    if closure is None:
+        closure = metric_closure(graph, terminals)
 
     expanded = Graph()
     expanded.add_nodes(terminals)
-    for u, v, _ in closure_mst:
-        path = closure.path[(u, v)]
+    for i, j, _ in closure_mst(closure.submatrix(terminals), terminals):
+        path = closure.path(terminals[i], terminals[j])
         for a, b in zip(path, path[1:]):
             expanded.add_edge(a, b, graph.weight(a, b))
+    return pruned_spanning_tree(expanded, terminals)
 
+
+def pruned_spanning_tree(expanded: Graph, terminals: Sequence[Node]) -> SteinerTree:
+    """The last two steps shared by KMB and Mehlhorn: the MST of the
+    expanded subgraph (Prim from ``terminals[0]``), then non-terminal
+    leaves pruned until none is left."""
     tree_edges = prim_mst(expanded, root=terminals[0])
     tree = Graph()
     tree.add_nodes(expanded.nodes())

@@ -474,22 +474,30 @@ class ServiceServer:
         return self
 
     async def serve_forever(self) -> None:
+        """Park the caller until cancelled; :meth:`close` shuts down.
+
+        The listener accepts from :meth:`start` on.  Not
+        ``asyncio.Server.serve_forever``: from Python 3.12.1 its
+        cancellation waits for every open client connection, so an idle
+        keep-alive client would hold it until the read timeout."""
         assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     async def close(self) -> None:
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+            self._server.close()  # stop accepting
         # Idle keep-alive connections would otherwise linger until their
-        # read timeout; a closing server drops them.
+        # read timeout; a closing server drops them.  Before waiting for
+        # the server: from Python 3.12.1 ``wait_closed`` waits for every
+        # open client connection.
         for task in list(self._connections):
             task.cancel()
         if self._connections:
             await asyncio.gather(*list(self._connections),
                                  return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
         await self.service.drain()
 
     # -- connection handling -------------------------------------------------
@@ -523,7 +531,11 @@ class ServiceServer:
             writer.close()
             try:
                 await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover - platform-dependent
+            except (ConnectionError, asyncio.CancelledError):
+                # A cancel landing here (server or loop shutdown) would
+                # otherwise end the task cancelled, which the stream
+                # protocol's done-callback reports to the loop's exception
+                # handler on Python 3.11.
                 pass
 
     async def _handle_one(self, reader: asyncio.StreamReader,

@@ -7,6 +7,8 @@ mechanism outputs (cost shares, service sets) since the mechanisms consume
 only those quantities.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,7 +71,8 @@ class TestKernelEquivalence:
         c_dict = metric_closure(network.as_graph(), terminals)
         c_dense = metric_closure(network.as_dense(), terminals)
         assert c_dense.distance == c_dict.distance
-        for (a, b), path in c_dense.path.items():
+        for a, b in itertools.permutations(terminals, 2):
+            path = c_dense.path(a, b)
             assert path[0] == a and path[-1] == b
             total = sum(network.cost(u, v) for u, v in zip(path, path[1:]))
             assert total == pytest.approx(c_dense.dist(a, b))

@@ -15,6 +15,7 @@ import pytest
 
 from repro.api import ScenarioSpec
 from repro.api.session import MulticastSession
+from repro.core.jv_steiner import metric_closure_matrix
 from repro.dynamic.spec import ChurnSpec, DynamicScenarioSpec
 from repro.runner.execute import make_profiles
 from repro.runner.spec import ProfileSpec
@@ -82,8 +83,9 @@ class TestSessionThreading:
     def test_terminal_closure_falls_back_to_full(self):
         sess = MulticastSession(ScenarioSpec.from_random(n=8, alpha=2.0, seed=0))
         closure = sess.terminal_closure()
-        assert isinstance(closure, np.ndarray)
-        assert closure.shape == (8, 8)
+        assert closure is sess.metric_closure()
+        assert closure.terminals == tuple(range(8))
+        assert np.array_equal(closure.rows, metric_closure_matrix(sess.network))
 
     def test_agents(self):
         sess = MulticastSession(spec_with((2, 6)))

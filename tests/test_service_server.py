@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
+
+import pytest
 
 from repro.api import MulticastSession, ScenarioSpec, available_mechanisms, result_to_dict
 from repro.dynamic import ChurnSpec, DynamicScenarioSpec
@@ -459,5 +462,65 @@ def test_http_negative_content_length_is_400():
                 assert headers["connection"] == "close" and rest == b""
         finally:
             await server.close()
+
+    run(go())
+
+
+@pytest.mark.parametrize("stop", ["close", "cancel serve_forever, then close"])
+def test_stop_does_not_wait_for_idle_keep_alive_clients(stop):
+    # From Python 3.12.1 asyncio's Server waits for open client
+    # connections when it closes, so the handlers must be cancelled first.
+    async def go():
+        server = await ServiceServer(CostSharingService(batch_window=0.0),
+                                     port=0, read_timeout=5.0).start()
+        serving = asyncio.ensure_future(server.serve_forever())
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        try:
+            writer.write(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            await writer.drain()
+            status, _, headers = await _read_response(reader)
+            assert status == 200 and headers["connection"] == "keep-alive"
+            t0 = time.perf_counter()
+            if stop != "close":
+                serving.cancel()
+                await asyncio.gather(serving, return_exceptions=True)
+            await server.close()  # the client is still connected, idle
+            assert time.perf_counter() - t0 < 1.0
+        finally:
+            serving.cancel()
+            writer.close()
+
+    run(go())
+
+
+def test_cancel_in_wait_closed_never_reaches_the_loop_exception_handler(
+        monkeypatch):
+    # A handler task that ends cancelled makes the stream protocol's
+    # done-callback raise into the loop's exception handler (Python 3.11).
+    async def go():
+        entered = asyncio.Event()
+
+        async def stuck_wait_closed(writer):
+            entered.set()
+            await asyncio.Event().wait()  # only a cancel gets out
+
+        monkeypatch.setattr(asyncio.StreamWriter, "wait_closed",
+                            stuck_wait_closed)
+        reported = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: reported.append(context))
+        server = await ServiceServer(CostSharingService(batch_window=0.0),
+                                     port=0).start()
+        try:
+            _, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.close()  # EOF: the handler closes its side and waits
+            await asyncio.wait_for(entered.wait(), 5.0)
+            (handler,) = server._connections
+            handler.cancel()
+            await asyncio.gather(handler, return_exceptions=True)
+            await asyncio.sleep(0)
+        finally:
+            await server.close()
+        assert reported == []
 
     run(go())

@@ -38,7 +38,7 @@ class TestMetricClosure:
     def test_paths_are_real_paths(self):
         g = random_connected_graph(10, rng=1)
         closure = metric_closure(g, [0, 5])
-        path = closure.path[(0, 5)]
+        path = closure.path(0, 5)
         assert path[0] == 0 and path[-1] == 5
         total = sum(g.weight(a, b) for a, b in zip(path, path[1:]))
         assert total == pytest.approx(closure.dist(0, 5))
