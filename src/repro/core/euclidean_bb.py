@@ -27,7 +27,6 @@ from collections.abc import Mapping
 
 from repro.api.registry import register_mechanism
 from repro.core.jv_steiner import JVSteinerShares
-from repro.engine.closure import TerminalClosure
 from repro.graphs.steiner import kmb_steiner_tree
 from repro.mechanism.base import Agent, CostSharingMechanism, MechanismResult, Profile
 from repro.mechanism.moulin_shenker import moulin_shenker
@@ -64,11 +63,6 @@ class EuclideanJVMechanism(CostSharingMechanism):
     ) -> None:
         self.network = network
         self.source = source
-        if closure is None:
-            closure = TerminalClosure.all_stations(network)
-        elif not isinstance(closure, TerminalClosure):
-            raise TypeError("closure must be a TerminalClosure: the served "
-                            "tree reads its predecessor rows")
         self.jv = JVSteinerShares(network, source, agent_weights, closure=closure)
         if agents is None:
             self.agents = [i for i in range(network.n) if i != source]

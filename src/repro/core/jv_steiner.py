@@ -28,25 +28,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-import numpy as np
-
 from repro.engine.closure import TerminalClosure
 from repro.engine.moats import moat_mst_weight, moat_shares
 from repro.mechanism.base import Agent
 from repro.wireless.cost_graph import CostGraph
-
-
-def metric_closure_matrix(network: CostGraph) -> np.ndarray:
-    """All-pairs shortest-path distances of the cost graph (lockstep
-    batched Dijkstra on the dense matrix).
-
-    Each row is a Dijkstra distance field, so the terminal rows of a
-    :class:`~repro.engine.closure.TerminalClosure` built on the same
-    network are *bit-identical* to the corresponding rows here — the
-    invariant that lets terminal-sourced sessions skip this O(n^3) pass
-    without changing a single share.
-    """
-    return network.as_dense().all_pairs_arrays()
 
 
 class JVSteinerShares:
@@ -61,15 +46,15 @@ class JVSteinerShares:
         ``f_i``): a component's growth is split proportionally to the
         weights of its members.  Default: equal split.
     closure:
-        Optional precomputed metric closure of ``network`` — either the
-        full matrix from :func:`metric_closure_matrix` or a
-        :class:`~repro.engine.closure.TerminalClosure` sourced at
-        ``{source} + receivers`` (O(k n^2) instead of O(n^3) to build;
-        shares are bit-identical as long as every requested agent is a
-        closure terminal) or at every station.  Lets a long-lived
-        session amortize the shortest-path work across share families
-        and, through the closure's predecessor rows, the served trees of
-        :class:`~repro.core.euclidean_bb.EuclideanJVMechanism`.
+        Optional precomputed :class:`~repro.engine.closure.TerminalClosure`
+        of ``network`` sourced at ``{source} + receivers`` (O(k n^2)
+        instead of O(n^3) to build; shares are bit-identical as long as
+        every requested agent is a closure terminal) or at every station
+        (the default, :meth:`~repro.engine.closure.TerminalClosure.all_stations`).
+        Lets a long-lived session amortize the shortest-path work across
+        share families and, through the closure's predecessor rows, the
+        served trees of :class:`~repro.core.euclidean_bb.EuclideanJVMechanism`.
+        Any other type raises ``TypeError``.
     """
 
     def __init__(
@@ -78,23 +63,21 @@ class JVSteinerShares:
         source: int,
         agent_weights: Mapping[Agent, float] | None = None,
         *,
-        closure: np.ndarray | TerminalClosure | None = None,
+        closure: TerminalClosure | None = None,
     ) -> None:
         self.network = network
         self.source = source
         if closure is None:
-            closure = metric_closure_matrix(network)
-        elif isinstance(closure, TerminalClosure):
-            if closure.n != network.n:
-                raise ValueError(
-                    f"closure covers n={closure.n} stations, network has {network.n}"
-                )
-            if not closure.covers([source]):
-                raise ValueError("terminal-sourced closure must include the source")
-        elif closure.shape != (network.n, network.n):
+            closure = TerminalClosure.all_stations(network)
+        elif not isinstance(closure, TerminalClosure):
+            raise TypeError(
+                f"closure must be a TerminalClosure, got {type(closure).__name__}")
+        elif closure.n != network.n:
             raise ValueError(
-                f"closure shape {closure.shape} does not match network n={network.n}"
+                f"closure covers n={closure.n} stations, network has {network.n}"
             )
+        elif not closure.covers([source]):
+            raise ValueError("terminal-sourced closure must include the source")
         self.closure = closure
         self.agent_weights = dict(agent_weights) if agent_weights else None
         if self.agent_weights is not None:

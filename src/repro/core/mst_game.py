@@ -19,37 +19,35 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.core.jv_steiner import metric_closure_matrix
-from repro.graphs.mst import kruskal_complete
+from repro.engine.closure import TerminalClosure
+from repro.engine.moats import closure_mst, moat_mst_weight
 from repro.mechanism.base import Agent
 from repro.wireless.cost_graph import CostGraph
 
 
 class MSTGame:
-    """The metric-closure MST game rooted at the source."""
+    """The metric-closure MST game rooted at the source.
+
+    Coalitions are priced on the closure-MST kernel the Jain-Vazirani
+    shares use (:func:`~repro.engine.moats.closure_mst`), so ``cost(R)``
+    equals ``JVSteinerShares.closure_mst_weight(R)`` exactly.
+    """
 
     def __init__(self, network: CostGraph, source: int) -> None:
         self.network = network
         self.source = source
-        self.closure = metric_closure_matrix(network)
-
-    def _dist(self, u: int, v: int) -> float:
-        return float(self.closure[u, v])
+        self.closure = TerminalClosure.all_stations(network)
 
     def cost(self, R: Iterable[Agent]) -> float:
         """MST weight of the metric closure over ``R + {source}``."""
-        R = sorted(set(R) - {self.source})
-        if not R:
-            return 0.0
-        tree, _ = kruskal_complete([self.source, *R], self._dist)
-        return sum(w for _, _, w in tree)
+        return moat_mst_weight(self.closure, self.source, sorted(set(R) - {self.source}))
 
     def mst_edges(self, R: Iterable[Agent]) -> list[tuple[int, int, float]]:
-        R = sorted(set(R) - {self.source})
-        if not R:
-            return []
-        tree, _ = kruskal_complete([self.source, *R], self._dist)
-        return tree
+        """The closure-MST edges ``(u, v, w)`` in Kruskal acceptance
+        order, ``u`` the earlier of the two in ``[source, *sorted(R)]``."""
+        pts = [self.source, *sorted(set(R) - {self.source})]
+        return [(pts[i], pts[j], w)
+                for i, j, w in closure_mst(self.closure.submatrix(pts), pts)]
 
     def bird_allocation(self, R: Iterable[Agent]) -> dict[Agent, float]:
         """Bird's rule: each terminal pays its parent edge in the rooted MST.

@@ -124,7 +124,7 @@ class NWSTMechanism(CostSharingMechanism):
             bought = frozenset()
         return MechanismResult(
             receivers=frozenset(active),
-            shares={i: attempt.shares.get(i, 0.0) for i in active},
+            shares={i: attempt.shares.get(i, 0.0) for i in self.agents if i in active},
             cost=cost,
             extra={
                 "bought_nodes": bought,

@@ -204,14 +204,13 @@ class UniversalTreeBatch:
     """The section 2.1 pipeline over one network: tree built once, the
     Shapley method memoised across every profile evaluated."""
 
-    def __init__(self, network, source: int = 0, *, kind: str = "spt",
-                 backend: str = "auto") -> None:
+    def __init__(self, network, source: int = 0, *, kind: str = "spt") -> None:
         from repro.core.universal_tree_mechanisms import universal_tree_shapley_shares
         from repro.wireless.universal_tree import UniversalTree
 
         self.network = network
         self.source = source
-        self.tree = UniversalTree.build(network, source, kind, backend=backend)
+        self.tree = UniversalTree.build(network, source, kind)
         self.agents = self.tree.agents()
         self.shapley_method = MethodCache(
             lambda R: universal_tree_shapley_shares(self.tree, R)

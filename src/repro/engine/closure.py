@@ -9,7 +9,9 @@ rows sourced at the terminals — ``O(k n^2)`` to build on the dense kernel,
 Dijkstra pass also leaves each terminal's predecessor row, so the KMB
 served tree (:func:`repro.graphs.steiner.kmb_steiner_tree`) rebuilds its
 witness paths from the closure instead of re-running Dijkstra per request.
-A session without a receiver subset sources the closure at every station.
+It is the one closure form the moat kernels, the JV shares and the MST
+game read; :meth:`TerminalClosure.all_stations` sources it at every
+station (a session without a receiver subset uses that one).
 
 Bit-identity: every closure row in this codebase is a Dijkstra distance
 field, and the lockstep rows of
@@ -121,11 +123,3 @@ class TerminalClosure:
 
     def __repr__(self) -> str:
         return f"TerminalClosure(n={self.n}, terminals={len(self.terminals)})"
-
-
-def closure_submatrix(closure, pts: Sequence[int]) -> np.ndarray:
-    """The closure block among ``pts`` from either representation: a full
-    ``(n, n)`` matrix or a :class:`TerminalClosure`."""
-    if isinstance(closure, TerminalClosure):
-        return closure.submatrix(pts)
-    return closure[np.ix_(list(pts), list(pts))]

@@ -32,7 +32,6 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from repro.engine.closure import closure_submatrix
 from repro.graphs.disjoint_set import DisjointSet
 
 _NO_TIE = np.iinfo(np.int64).max
@@ -48,10 +47,10 @@ def closure_mst(sub: np.ndarray, pts: Sequence) -> list[tuple[int, int, float]]:
     """The closure edges Kruskal accepts over ``pts``, in acceptance order.
 
     ``sub`` is the closure block among ``pts`` (row ``i`` sourced at
-    ``pts[i]``; :func:`~repro.engine.closure.closure_submatrix`, or a
-    closure object's ``submatrix``), and ``pts`` may be any labels with
-    distinct reprs.  Returns ``k - 1`` triples ``(i, j, w)``: index pairs
-    into ``pts`` with ``i < j`` and ``w`` read from row ``i``.
+    ``pts[i]``; a closure object's ``submatrix(pts)``), and ``pts`` may
+    be any labels with distinct reprs.  Returns ``k - 1`` triples
+    ``(i, j, w)``: index pairs into ``pts`` with ``i < j`` and ``w`` read
+    from row ``i``.
 
     Kruskal's key ``(w, repr(pts[i]), repr(pts[j]))`` is a strict total
     order on the edges (the points' reprs are distinct), under which the
@@ -124,7 +123,8 @@ def moat_shares(
     members: Sequence[int],
     weight_of: Callable[[int], float] | None = None,
 ) -> dict[int, float]:
-    """``xi(R, .)`` of the JV moat process over ``{source} + members``.
+    """``xi(R, .)`` of the JV moat process over ``{source} + members``
+    in ``closure`` (a :class:`~repro.engine.closure.TerminalClosure`).
 
     Kruskal on the metric closure, reading edge weight as time: every
     component not containing the source accrues cost at unit rate between
@@ -136,8 +136,7 @@ def moat_shares(
     pts = [source, *members]
     if len(pts) <= 1:
         return {}
-    return run_moat_process(pts, closure_mst(closure_submatrix(closure, pts), pts),
-                            weight_of)
+    return run_moat_process(pts, closure_mst(closure.submatrix(pts), pts), weight_of)
 
 
 def moat_shares_sparse(
@@ -208,6 +207,6 @@ def moat_mst_weight(closure, source: int, members: Sequence[int]) -> float:
     3.12 and would differ from it in the last ulp."""
     pts = [source, *members]
     total = 0.0
-    for _, _, w in closure_mst(closure_submatrix(closure, pts), pts):
+    for _, _, w in closure_mst(closure.submatrix(pts), pts):
         total += w
     return total

@@ -106,15 +106,13 @@ class Graph:
         return g
 
     def subgraph(self, nodes: Iterable[Node]) -> "Graph":
-        """Induced subgraph on ``nodes``."""
+        """Induced subgraph on ``nodes``, in this graph's node and
+        neighbour order whatever order ``nodes`` iterates in (a set of
+        string-tagged nodes iterates differently in every process)."""
         keep = set(nodes)
         g = Graph()
-        for node in keep:
-            if node in self._adj:
-                g.add_node(node)
-        for u in keep:
-            if u not in self._adj:
-                continue
+        g.add_nodes(u for u in self._adj if u in keep)
+        for u in g.nodes():
             for v, w in self._adj[u].items():
                 if v in keep:
                     g.add_edge(u, v, w)

@@ -87,19 +87,16 @@ class AuxiliaryMetric:
         return accepted, total
 
 
-def mehlhorn_aux_metric(
-    graph: Graph | ArrayGraph, terminals: Sequence[int], *,
-    backend: str = "auto",
-) -> AuxiliaryMetric:
+def mehlhorn_aux_metric(graph: Graph | ArrayGraph, terminals: Sequence[int]) -> AuxiliaryMetric:
     """One multi-source Dijkstra pass + the auxiliary terminal graph.
 
     ``graph`` must be array-coercible (integer labels ``0..n-1``); dense
     backends extract all bridge candidates in one vectorised pass, sparse
-    backends stream the edge list once.  ``backend`` forces the coerced
-    representation (``'dense'``/``'csr'``; default ``'auto'`` densifies
-    small or dense graphs and keeps large sparse ones on CSR).
+    backends stream the edge list once.  An array graph runs as it is;
+    a dict graph is coerced by ``as_array_backend(prefer='auto')``, which
+    densifies small or dense graphs and keeps large sparse ones on CSR.
     """
-    arr = as_array_backend(graph, prefer=backend)
+    arr = as_array_backend(graph, prefer="auto")
     if arr is None:
         raise ValueError(
             "mehlhorn kernels need integer station labels 0..n-1; "
@@ -169,26 +166,24 @@ def _aux_edges_stream(arr, dist, nearest, pos):
     return edges, bridges
 
 
-def mehlhorn_steiner_tree(
-    graph: Graph | ArrayGraph, terminals: Sequence[int], *,
-    backend: str = "auto",
-) -> SteinerTree:
+def mehlhorn_steiner_tree(graph: Graph | ArrayGraph, terminals: Sequence[int]) -> SteinerTree:
     """Mehlhorn's 2(1-1/k)-approximate minimum Steiner tree.
 
     Steps: multi-source Voronoi pass; MST of the auxiliary terminal graph;
     expand each auxiliary edge into its witness walk (parent chains + the
     bridge edge); MST of the expanded subgraph; prune non-terminal leaves.
     Same :class:`~repro.graphs.steiner.SteinerTree` contract (and edge
-    ordering) as :func:`~repro.graphs.steiner.kmb_steiner_tree`.
+    ordering) as :func:`~repro.graphs.steiner.kmb_steiner_tree`; the
+    representation is chosen as in :func:`mehlhorn_aux_metric`.
     """
     terminals = list(dict.fromkeys(int(t) for t in terminals))
     if not terminals:
         return SteinerTree((), 0.0, frozenset())
     if len(terminals) == 1:
         return SteinerTree((), 0.0, frozenset(terminals))
-    aux = mehlhorn_aux_metric(graph, terminals, backend=backend)
+    aux = mehlhorn_aux_metric(graph, terminals)
     mst_ids, _ = aux.spanning_mst()  # raises when terminals are disconnected
-    arr = as_array_backend(graph, prefer=backend)
+    arr = as_array_backend(graph, prefer="auto")
 
     expanded = Graph()
     expanded.add_nodes(terminals)

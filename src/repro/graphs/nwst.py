@@ -322,8 +322,10 @@ class NWSTState:
         return self.members[terminal]
 
     def bought_weight(self) -> float:
-        """True total weight of the bought original nodes."""
-        return sum(self.original_weights.get(x, 0.0) for x in self.bought)
+        """True total weight of the bought original nodes, added in the
+        original graph's node order."""
+        return sum(self.original_weights.get(x, 0.0)
+                   for x in self.original_graph if x in self.bought)
 
     def solution_is_connected(self) -> bool:
         """Bought original nodes induce a connected subgraph (when one
@@ -341,7 +343,11 @@ class NWSTState:
         counts: Mapping[Node, int] | None = None,
         distance_mode: str = "auto",
     ) -> Spider | None:
-        return find_min_ratio_spider(self.graph, self.weights, self.terminals,
+        # The terminal order breaks exact ties in the spider search, so it
+        # is the graph's node order, not the set's (which is per-process
+        # for string-tagged nodes such as the MEMT reduction's).
+        terminals = [t for t in self.graph if t in self.terminals]
+        return find_min_ratio_spider(self.graph, self.weights, terminals,
                                      min_terminals=min_terminals, mode=mode,
                                      counts=counts, distance_mode=distance_mode)
 
@@ -350,6 +356,9 @@ class NWSTState:
         meta = ("meta", self._meta_counter)
         self._meta_counter += 1
         removed = set(spider.nodes)
+        # The meta-terminal's neighbour order steers later Dijkstra ties:
+        # wire it in graph order.
+        wiring = [x for x in self.graph if x in removed]
         # Buy original nodes (meta path nodes were bought at their creation).
         for x in removed:
             if not self._is_meta(x):
@@ -363,9 +372,7 @@ class NWSTState:
             new_members.update(self.members.pop(t))
         self.graph.add_node(meta)
         self.weights[meta] = 0.0
-        for x in removed:
-            if x not in self.graph:
-                continue
+        for x in wiring:
             for z, _ in list(self.graph.neighbors(x)):
                 if z not in removed and z != meta:
                     self.graph.add_edge(meta, z, 1.0)

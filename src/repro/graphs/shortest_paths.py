@@ -93,10 +93,6 @@ def _dijkstra_array(
     return dist, parent
 
 
-def dijkstra_distances(graph: Graph | DiGraph | ArrayGraph, source: Node) -> dict[Node, float]:
-    return dijkstra(graph, source)[0]
-
-
 def all_pairs_dijkstra(graph: Graph | DiGraph | ArrayGraph) -> dict[Node, dict[Node, float]]:
     """All-pairs shortest distances (one Dijkstra per node; array graphs
     run every source in lockstep through one vectorised sweep)."""

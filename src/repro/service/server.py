@@ -73,8 +73,13 @@ HTTP_REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
     409: "Conflict", 413: "Content Too Large", 429: "Too Many Requests",
     431: "Request Header Fields Too Large",
-    500: "Internal Server Error", 502: "Bad Gateway", 503: "Service Unavailable",
+    500: "Internal Server Error", 501: "Not Implemented", 502: "Bad Gateway",
+    503: "Service Unavailable",
 }
+
+# Exceptions a pricing request raises for bad input: the client's error
+# (400), not a server fault (500).
+_CLIENT_ERRORS = (ProtocolError, ValueError, TypeError, KeyError)
 
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -189,7 +194,7 @@ class CostSharingService:
             headers = ({"Retry-After": f"{self.retry_after:g}"}
                        if exc.status == 429 else {})
             status, payload = exc.status, error_payload(exc.message)
-        except (ValueError, TypeError, KeyError) as exc:
+        except _CLIENT_ERRORS as exc:
             # Runtime validation the parser cannot see (stray agents in a
             # profile, negative utilities, ...) is still the client's
             # error, not a server fault.
@@ -268,14 +273,17 @@ class CostSharingService:
                     *(self.batcher.submit_timed(r, context=context)
                       for r in requests),
                     return_exceptions=True)
+            # A server fault answers the whole batch 500: raise it before
+            # any item is serialized or logged as served.
+            for outcome in outcomes:
+                if (isinstance(outcome, BaseException)
+                        and not isinstance(outcome, _CLIENT_ERRORS)):
+                    raise outcome
             entries = []
             trace_id = span.trace_id if span is not None else None
             serialize_total = 0.0
             for index, (request, outcome) in enumerate(zip(requests, outcomes)):
                 if isinstance(outcome, BaseException):
-                    if not isinstance(outcome, (ProtocolError, ValueError,
-                                                TypeError, KeyError)):
-                        raise outcome
                     message = getattr(outcome, "message", None) or str(outcome)
                     entries.append({"status": 400, "body": error_payload(message)})
                     self._log_run(request, 400, {"parse": parse_s},
@@ -567,7 +575,21 @@ class ServiceServer:
                     {}, keep_alive=False)
                 return False
             name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                # Either length would leave bytes of the body to be read
+                # as the next request; read nothing further.
+                await self._respond(writer, 400, error_payload(
+                    "conflicting Content-Length headers"), {}, keep_alive=False)
+                return False
+            headers[name] = value
+        if "transfer-encoding" in headers:
+            # Only Content-Length framing is read: an unread chunked body
+            # would be parsed as the next request.
+            await self._respond(writer, 501, error_payload(
+                "Transfer-Encoding is not supported; send a Content-Length "
+                "body"), {}, keep_alive=False)
+            return False
 
         try:
             length = int(headers.get("content-length", "0"))

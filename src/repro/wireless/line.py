@@ -31,7 +31,6 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.graphs.addressable_heap import AddressableHeap
-from repro.wireless.cost_graph import CostGraph, EuclideanCostGraph
 from repro.wireless.power import PowerAssignment
 
 _EPS = 1e-12
@@ -204,11 +203,3 @@ def chain_line_multicast(
     unsorted_powers = np.zeros(n)
     unsorted_powers[order] = best
     return best_cost, PowerAssignment(unsorted_powers)
-
-
-def line_network(coords: Sequence[float] | np.ndarray, alpha: float) -> CostGraph:
-    """Euclidean cost graph of a 1-d instance (for cross-checking against the
-    generic exact solver)."""
-    from repro.geometry.points import PointSet
-
-    return EuclideanCostGraph(PointSet(np.asarray(coords, dtype=float)), alpha)

@@ -21,14 +21,6 @@ from repro.wireless.cost_graph import CostGraph
 from repro.wireless.power import PowerAssignment
 
 
-def _backend_graph(network: CostGraph, backend: str):
-    if backend in ("auto", "dense"):
-        return network.as_dense()
-    if backend == "dict":
-        return network.as_graph()
-    raise ValueError(f"unknown backend {backend!r} (want 'auto', 'dense' or 'dict')")
-
-
 class UniversalTree:
     """A fixed spanning tree of the network, rooted at the source."""
 
@@ -68,40 +60,36 @@ class UniversalTree:
     KINDS = ("spt", "mst", "star")
 
     @classmethod
-    def build(cls, network: CostGraph, source: int, kind: str = "spt",
-              *, backend: str = "auto") -> "UniversalTree":
+    def build(cls, network: CostGraph, source: int, kind: str = "spt") -> "UniversalTree":
         """Construct a universal tree by kind name — the single home of
         the ``spt``/``mst``/``star`` dispatch (scenario specs, the session
         facade and the experiment runners all route through it)."""
         if kind == "spt":
-            return cls.from_shortest_paths(network, source, backend=backend)
+            return cls.from_shortest_paths(network, source)
         if kind == "mst":
-            return cls.from_mst(network, source, backend=backend)
+            return cls.from_mst(network, source)
         if kind == "star":
             return cls.star(network, source)
         raise ValueError(f"unknown universal tree kind {kind!r} (want one of {cls.KINDS})")
 
     @classmethod
-    def from_shortest_paths(cls, network: CostGraph, source: int,
-                            *, backend: str = "auto") -> "UniversalTree":
+    def from_shortest_paths(cls, network: CostGraph, source: int) -> "UniversalTree":
         """Shortest-path tree in the cost graph (the universal tree Penna &
-        Ventre [43] use for their O(n)-CO mechanism).
-
-        ``backend='auto'`` (the default) runs the vectorised Dijkstra on
-        the dense cost matrix; ``'dict'`` keeps the adjacency-map path.
-        Trees are identical except possibly on exact distance ties, where
-        either parent choice witnesses the same distances.
+        Ventre [43] use for their O(n)-CO mechanism), from the vectorised
+        Dijkstra on the dense cost matrix.  The tests' reference, the dict
+        Dijkstra on ``network.as_graph()``, gives the same tree except
+        possibly on exact distance ties, where either parent choice
+        witnesses the same distances.
         """
-        _, parent = dijkstra(_backend_graph(network, backend), source)
+        _, parent = dijkstra(network.as_dense(), source)
         return cls(network, source, parent)
 
     @classmethod
-    def from_mst(cls, network: CostGraph, source: int,
-                 *, backend: str = "auto") -> "UniversalTree":
+    def from_mst(cls, network: CostGraph, source: int) -> "UniversalTree":
         """Minimum spanning tree of the cost graph, rooted at the source
-        (``backend`` as in :meth:`from_shortest_paths`)."""
+        (the vectorised Prim on the dense cost matrix)."""
         parents: dict[int, int | None] = {source: None}
-        for p, c, _ in prim_mst(_backend_graph(network, backend), root=source):
+        for p, c, _ in prim_mst(network.as_dense(), root=source):
             parents[c] = p
         return cls(network, source, parents)
 

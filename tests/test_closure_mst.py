@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 from repro.core.euclidean_bb import EuclideanJVMechanism
-from repro.core.jv_steiner import JVSteinerShares, metric_closure_matrix
-from repro.engine.closure import TerminalClosure, closure_submatrix
+from repro.core.jv_steiner import JVSteinerShares
+from repro.engine.closure import TerminalClosure
 from repro.engine.dense import DenseGraph, batched_dijkstra
 from repro.engine.moats import closure_mst, moat_mst_weight, run_moat_process
 from repro.geometry.layouts import LAYOUT_FAMILIES, layout_points
@@ -33,7 +33,7 @@ from repro.graphs.mst import kruskal_complete
 from repro.graphs.random_graphs import random_connected_graph
 from repro.graphs.shortest_paths import dijkstra, reconstruct_path
 from repro.graphs.steiner import kmb_steiner_tree, pruned_spanning_tree
-from repro.wireless.cost_graph import EuclideanCostGraph
+from repro.wireless.cost_graph import CostGraph, EuclideanCostGraph
 from repro.wireless.multicast import steiner_heuristic_power
 
 LATTICES = [(6, 6), (9, 9), (5, 8)]
@@ -46,7 +46,7 @@ def reference_sorted_closure_edges(closure, pts):
     """Every closure edge among ``pts`` in Kruskal order (the retired
     ``engine.moats._sorted_closure_edges``)."""
     k = len(pts)
-    sub = closure_submatrix(closure, pts)
+    sub = closure.submatrix(pts)
     iu, iv = np.triu_indices(k, 1)
     w = sub[iu, iv]
     order = sorted(
@@ -119,15 +119,15 @@ def reference_kmb(network, terminals):
 
 def assert_bit_identical(network, source, members):
     """Every closure-MST consumer over ``{source} + members`` equals its
-    reference exactly, through the full matrix and a session-style
-    :class:`TerminalClosure` alike."""
+    reference exactly, through the all-stations closure and a
+    session-style terminal-sourced one alike."""
     members = sorted(members)
     pts = [source, *members]
-    full = metric_closure_matrix(network)
+    full = TerminalClosure.all_stations(network)
     terminal = TerminalClosure.from_network(network, pts)
     expected_edges = reference_accepted(
         len(pts), reference_sorted_closure_edges(full, pts))
-    assert closure_mst(closure_submatrix(full, pts), pts) == expected_edges
+    assert closure_mst(full.submatrix(pts), pts) == expected_edges
     assert closure_mst(terminal.submatrix(pts), pts) == expected_edges
 
     weights = {a: 1.0 + (a % 3) for a in members}
@@ -197,8 +197,8 @@ def test_lattice_ties_pin_the_served_tree():
     served-tree checks above are not vacuous."""
     network = EuclideanCostGraph(grid_points(6, 6), 2.0)
     pts = list(range(36))
-    full = metric_closure_matrix(network)
-    edges = closure_mst(closure_submatrix(full, pts), pts)
+    full = TerminalClosure.all_stations(network)
+    edges = closure_mst(full.submatrix(pts), pts)
     reversed_ties = reference_accepted(len(pts), sorted(
         reference_sorted_closure_edges(full, pts),
         key=lambda e: (e[2], repr(pts[e[1]]), repr(pts[e[0]]))))
@@ -211,9 +211,11 @@ def test_mst_weight_is_added_in_acceptance_order():
     0.9999999999999999, a compensated one (``sum()`` from Python 3.12)
     1.0.  The reported weight must be the former on every Python."""
     k = 11
-    closure = np.full((k, k), 5.0)
+    costs = np.full((k, k), 5.0)
+    np.fill_diagonal(costs, 0.0)
     for i in range(k - 1):
-        closure[i, i + 1] = closure[i + 1, i] = 0.1
+        costs[i, i + 1] = costs[i + 1, i] = 0.1
+    closure = TerminalClosure.all_stations(CostGraph(costs))
     expected = 0.0
     for _ in range(k - 1):
         expected += 0.1

@@ -97,7 +97,7 @@ class TestMechanismEquivalence:
     def test_universal_tree_mechanisms_identical(self, seed, n, euclidean):
         network = euclidean_network(seed, n) if euclidean else symmetric_network(seed, n)
         tree_dense = UniversalTree.from_shortest_paths(network, 0)
-        tree_dict = UniversalTree.from_shortest_paths(network, 0, backend="dict")
+        tree_dict = UniversalTree(network, 0, dijkstra(network.as_graph(), 0)[1])
         assert tree_dense.parents == tree_dict.parents
 
         profile = random_utilities(network, 0, np.random.default_rng(seed))
@@ -117,7 +117,8 @@ class TestMechanismEquivalence:
     def test_mst_universal_tree_identical(self, seed, n):
         network = euclidean_network(seed, n)
         t_dense = UniversalTree.from_mst(network, 0)
-        t_dict = UniversalTree.from_mst(network, 0, backend="dict")
+        t_dict = UniversalTree(network, 0, {0: None, **{
+            c: p for p, c, _ in prim_mst(network.as_graph(), root=0)}})
         assert t_dense.parents == t_dict.parents
 
     @given(seeds, st.integers(min_value=3, max_value=9))
@@ -205,7 +206,7 @@ class TestChurnEquivalence:
         for epoch in range(spec.n_epochs):
             network = spec.materialize(epoch).build_network()
             t_dense = UniversalTree.from_shortest_paths(network, 0)
-            t_dict = UniversalTree.from_shortest_paths(network, 0, backend="dict")
+            t_dict = UniversalTree(network, 0, dijkstra(network.as_graph(), 0)[1])
             assert t_dense.parents == t_dict.parents
             for profile in dyn.epoch_profiles(epoch, ProfileSpec(count=2)):
                 res_dense = UniversalTreeShapleyMechanism(t_dense).run(profile)
@@ -226,7 +227,7 @@ def _reference_moat_shares(jv: JVSteinerShares, R: frozenset) -> dict:
     if not members:
         return {}
     pts = [jv.source, *members]
-    _, events = kruskal_complete(pts, lambda u, v: float(jv.closure[u, v]), trace=True)
+    _, events = kruskal_complete(pts, jv.closure.distance, trace=True)
     shares = {i: 0.0 for i in members}
     birth = {frozenset([p]): 0.0 for p in pts}
     for ev in events:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.jv_steiner import JVSteinerShares, metric_closure_matrix
+from repro.core.jv_steiner import JVSteinerShares
 from repro.geometry.points import uniform_points
 from repro.graphs.random_graphs import random_cost_matrix
 from repro.mechanism.moulin_shenker import check_cross_monotonicity
@@ -19,7 +19,7 @@ def euclid(seed, n=7, alpha=2.0):
 class TestMetricClosure:
     def test_floyd_warshall_matches_dijkstra(self):
         net = CostGraph(random_cost_matrix(8, rng=0))
-        closure = metric_closure_matrix(net)
+        closure = net.as_dense().all_pairs_arrays()
         from repro.graphs.shortest_paths import dijkstra
 
         g = net.as_graph()
@@ -30,7 +30,7 @@ class TestMetricClosure:
 
     def test_triangle_inequality(self):
         net = euclid(1)
-        c = metric_closure_matrix(net)
+        c = net.as_dense().all_pairs_arrays()
         n = net.n
         for i in range(n):
             for j in range(n):
@@ -62,7 +62,7 @@ class TestShares:
         net = euclid(2)
         jv = JVSteinerShares(net, 0)
         shares = jv.shares(frozenset({3}))
-        closure = metric_closure_matrix(net)
+        closure = net.as_dense().all_pairs_arrays()
         assert shares[3] == pytest.approx(closure[0, 3])
 
     @pytest.mark.parametrize("seed", range(4))

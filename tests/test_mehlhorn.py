@@ -120,8 +120,8 @@ class TestMehlhornSteinerTree:
 
     def test_backend_forced(self):
         g = path_graph(8)
-        t_dense = mehlhorn_steiner_tree(g, [0, 7], backend="dense")
-        t_csr = mehlhorn_steiner_tree(g, [0, 7], backend="csr")
+        t_dense = mehlhorn_steiner_tree(DenseGraph.from_graph(g), [0, 7])
+        t_csr = mehlhorn_steiner_tree(CSRGraph.from_graph(g), [0, 7])
         assert t_dense.cost == t_csr.cost == pytest.approx(7.0)
 
     def test_dense_graph_passthrough(self):

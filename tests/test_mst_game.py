@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.jv_steiner import JVSteinerShares
 from repro.core.mst_game import MSTGame
-from repro.geometry.points import uniform_points
+from repro.geometry.layouts import LAYOUT_FAMILIES, layout_points
+from repro.geometry.points import grid_points, uniform_points
 from repro.mechanism.core import verify_core_allocation
 from repro.mechanism.moulin_shenker import check_cross_monotonicity
 from repro.wireless.cost_graph import EuclideanCostGraph
@@ -18,12 +19,18 @@ def game(seed, n=7, alpha=2.0):
 
 
 class TestMSTGameCost:
-    def test_matches_jv_closure_mst(self):
-        g, agents = game(0)
+    @pytest.mark.parametrize("layout", [*LAYOUT_FAMILIES, "lattice"])
+    def test_matches_jv_closure_mst(self, layout):
+        """Both price a coalition on the one closure-MST kernel, so the
+        floats agree exactly (exact lattice ties included)."""
+        points = (grid_points(4, 4) if layout == "lattice"
+                  else layout_points(layout, 12, 2, side=10.0, seed=0))
+        g = MSTGame(EuclideanCostGraph(points, 2.0), 0)
+        agents = list(range(1, g.network.n))
         jv = JVSteinerShares(g.network, 0)
         for size in (1, 3, len(agents)):
             R = frozenset(agents[:size])
-            assert g.cost(R) == pytest.approx(jv.closure_mst_weight(R))
+            assert g.cost(R) == jv.closure_mst_weight(R)
 
     def test_not_necessarily_monotone(self):
         """The MST game is famously NOT monotone: a new terminal can act as

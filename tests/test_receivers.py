@@ -15,7 +15,6 @@ import pytest
 
 from repro.api import ScenarioSpec
 from repro.api.session import MulticastSession
-from repro.core.jv_steiner import metric_closure_matrix
 from repro.dynamic.spec import ChurnSpec, DynamicScenarioSpec
 from repro.runner.execute import make_profiles
 from repro.runner.spec import ProfileSpec
@@ -85,7 +84,7 @@ class TestSessionThreading:
         closure = sess.terminal_closure()
         assert closure is sess.metric_closure()
         assert closure.terminals == tuple(range(8))
-        assert np.array_equal(closure.rows, metric_closure_matrix(sess.network))
+        assert np.array_equal(closure.rows, sess.network.as_dense().all_pairs_arrays())
 
     def test_agents(self):
         sess = MulticastSession(spec_with((2, 6)))

@@ -9,6 +9,7 @@ keep-alive and header behaviour.
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import time
 
@@ -16,7 +17,9 @@ import pytest
 
 from repro.api import MulticastSession, ScenarioSpec, available_mechanisms, result_to_dict
 from repro.dynamic import ChurnSpec, DynamicScenarioSpec
+from repro.observability import RequestLogger
 from repro.service import CostSharingService, ServiceClient, ServiceServer
+from repro.service.batching import MicroBatcher
 from repro.service.server import MAX_HEADERS
 
 
@@ -109,6 +112,29 @@ def test_batch_endpoint_mixes_statuses_per_request():
     assert "99" in payload["responses"][1]["body"]["error"]
     assert (payload["responses"][0]["body"]["results"]
             == payload["responses"][2]["body"]["results"])
+
+
+def test_batch_server_fault_logs_no_item_as_served(monkeypatch):
+    # Item 1 hits a server fault: the batch answers 500 as a whole, so no
+    # item may have been logged as a served 200 on the way.
+    run_one = MicroBatcher._run_one
+
+    def faulty(entry, request):
+        if 5.0 in request.profiles[0].values():
+            raise RuntimeError("boom")
+        return run_one(entry, request)
+
+    monkeypatch.setattr(MicroBatcher, "_run_one", staticmethod(faulty))
+    spec = _spec(2)
+    stream = io.StringIO()
+    client = _client(request_log=RequestLogger(stream))
+    items = [{"scenario": spec.to_dict(), "mechanism": "tree-shapley",
+              "profiles": [{str(a): utility for a in spec.agents()}]}
+             for utility in (4.0, 5.0)]
+    status, payload = run(client.batch(items))
+    assert status == 500 and "RuntimeError: boom" in payload["error"]
+    lines = [json.loads(line) for line in stream.getvalue().splitlines()]
+    assert [(line["kind"], line["status"]) for line in lines] == [("error", 500)]
 
 
 def test_dynamic_scenario_runs_an_epoch():
@@ -460,6 +486,46 @@ def test_http_negative_content_length_is_400():
                 assert status == 400, length
                 assert payload["error"] == "invalid Content-Length"
                 assert headers["connection"] == "close" and rest == b""
+        finally:
+            await server.close()
+
+    run(go())
+
+
+def test_http_transfer_encoding_is_501_and_closes():
+    # Only Content-Length framing is read: a chunked body left unread
+    # would be parsed as a second request on the kept-alive connection.
+    async def go():
+        server = await ServiceServer(CostSharingService(batch_window=0.0),
+                                     port=0).start()
+        try:
+            chunk = b'{"requests": []}'
+            (status, payload, headers), rest = await _exchange(
+                server.port, b"POST /v1/batch HTTP/1.1\r\nHost: t\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                + b"%x\r\n%s\r\n0\r\n\r\n" % (len(chunk), chunk))
+            assert status == 501 and "Transfer-Encoding" in payload["error"]
+            assert headers["connection"] == "close" and rest == b""
+        finally:
+            await server.close()
+
+    run(go())
+
+
+@pytest.mark.parametrize("lengths", [(2, 40), (40, 2)])
+def test_http_conflicting_content_lengths_are_400_and_close(lengths):
+    async def go():
+        server = await ServiceServer(CostSharingService(batch_window=0.0),
+                                     port=0).start()
+        try:
+            body = b"{}" + b" " * 36 + b"\r\n"  # 40 bytes
+            framing = b"".join(b"Content-Length: %d\r\n" % n for n in lengths)
+            (status, payload, headers), rest = await _exchange(
+                server.port, b"POST /v1/run HTTP/1.1\r\nHost: t\r\n"
+                + framing + b"\r\n" + body)
+            assert status == 400
+            assert payload["error"] == "conflicting Content-Length headers"
+            assert headers["connection"] == "close" and rest == b""
         finally:
             await server.close()
 

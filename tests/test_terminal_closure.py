@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.jv_steiner import JVSteinerShares, metric_closure_matrix
-from repro.engine.closure import TerminalClosure, closure_submatrix
+from repro.core.euclidean_bb import EuclideanJVMechanism
+from repro.core.jv_steiner import JVSteinerShares
+from repro.engine.closure import TerminalClosure
 from repro.engine.dense import CSRGraph, DenseGraph
 from repro.geometry.points import uniform_points
 from repro.graphs.random_graphs import random_cost_matrix
@@ -55,11 +56,11 @@ class TestTerminalClosure:
 
     def test_closure_submatrix_dispatch(self):
         net = euclid(4)
-        full = net.as_dense().all_pairs_arrays()
+        full = TerminalClosure.all_stations(net)
         pts = [0, 3, 6]
         tc = TerminalClosure.from_network(net, pts)
-        a = closure_submatrix(tc, pts)
-        b = closure_submatrix(full, pts)
+        a = tc.submatrix(pts)
+        b = full.submatrix(pts)
         assert np.array_equal(a, b)
 
     @settings(max_examples=25, deadline=None)
@@ -91,7 +92,7 @@ class TestTerminalClosure:
         net = euclid(5, n=14)
         recv = [1, 3, 5, 7, 9, 11]
         tc = TerminalClosure.from_network(net, [0, *recv])
-        full = metric_closure_matrix(net)
+        full = TerminalClosure.all_stations(net)
         jv_t = JVSteinerShares(net, 0, closure=tc)
         jv_f = JVSteinerShares(net, 0, closure=full)
         rng = np.random.default_rng(0)
@@ -106,6 +107,14 @@ class TestTerminalClosure:
         tc = TerminalClosure.from_network(net, [1, 2])  # source missing
         with pytest.raises(ValueError, match="must include the source"):
             JVSteinerShares(net, 0, closure=tc)
+
+    def test_jv_rejects_a_bare_matrix(self):
+        net = euclid(8)
+        matrix = net.as_dense().all_pairs_arrays()
+        with pytest.raises(TypeError, match="TerminalClosure"):
+            JVSteinerShares(net, 0, closure=matrix)
+        with pytest.raises(TypeError, match="TerminalClosure"):
+            EuclideanJVMechanism(net, 0, closure=matrix)
 
     def test_jv_rejects_size_mismatch(self):
         net = euclid(7)
