@@ -59,8 +59,7 @@ def _usable_cores() -> int:
 @pytest.mark.benchmark(group="EXP-S1 fleet")
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_fleet_throughput_scales(benchmark, workers):
-    fleet = Fleet(workers=workers, cache_size=16, batch_window=0.002,
-                  max_batch=N_REQUESTS)
+    fleet = Fleet(workers=workers, cache_size=16)
     router = fleet.start()
     server = BackgroundServer(router)
     port = server.start()

@@ -58,11 +58,10 @@ def _workload():
 def _serve(spec, requests, registry, spans=None):
     """The warm service loop of ``bench_service.py``, with the registry
     (and optionally a span recorder) injected: same LRU reuse, same
-    flush windows, same thread pool."""
+    flushes, same thread pool."""
 
     async def go():
-        service = CostSharingService(cache_size=8, batch_window=0.002,
-                                     max_batch=N_REQUESTS, registry=registry,
+        service = CostSharingService(cache_size=8, registry=registry,
                                      spans=spans)
         client = ServiceClient(service)
         responses = await asyncio.gather(*(

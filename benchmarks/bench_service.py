@@ -6,7 +6,7 @@ baseline answers each request the way a stateless endpoint would — the
 identical service stack with retention and batching switched off, so a
 fresh :class:`~repro.api.MulticastSession` is built per request.  The
 batched path serves the identical request stream warm — LRU session
-reuse, requests coalesced into flush windows, ``run_batch`` sharing the
+reuse, concurrent requests sharing one flush, ``run_batch`` sharing the
 memoised ``xi`` cache — and must deliver at least 2x the throughput
 while answering bit-identically.
 
@@ -53,13 +53,14 @@ def _workload():
 
 def _run_unbatched(spec, requests):
     """The stateless baseline: the same service stack with the warm
-    machinery switched off — no session retention (``cache_size=0``), no
-    flush window, one request in flight at a time.  Every request pays
-    the cold network/tree build; protocol costs are identical to the
-    batched path, so the ratio isolates what the subsystem adds."""
+    machinery switched off — no session retention (``cache_size=0``) and
+    one request in flight at a time, so every flush holds one request.
+    Every request pays the cold network/tree build; protocol costs are
+    identical to the batched path, so the ratio isolates what the
+    subsystem adds."""
 
     async def go():
-        service = CostSharingService(cache_size=0, batch_window=0.0)
+        service = CostSharingService(cache_size=0)
         client = ServiceClient(service)
         responses = []
         for mechanism, profiles in requests:  # closed loop, concurrency 1
@@ -78,8 +79,7 @@ def _run_batched(spec, requests):
     micro-batched concurrent submission."""
 
     async def go():
-        service = CostSharingService(cache_size=8, batch_window=0.002,
-                                     max_batch=N_REQUESTS)
+        service = CostSharingService(cache_size=8)
         client = ServiceClient(service)
         responses = await asyncio.gather(*(
             client.run(spec, mechanism, profiles)

@@ -47,7 +47,7 @@ def burst(port: int, requests: int = 60):
 
 def main() -> None:
     print("== booting a 3-worker fleet (w0, w1, w2) ==")
-    fleet = Fleet(workers=3, cache_size=16, batch_window=0.005)
+    fleet = Fleet(workers=3, cache_size=16)
     router = fleet.start()
     server = BackgroundServer(router)
     port = server.start()

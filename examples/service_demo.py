@@ -6,11 +6,12 @@ The whole `repro.service` loop without opening a socket:
    admission control) and drive it through the in-process ServiceClient
    — the exact dispatch the HTTP endpoint calls;
 2. fire a burst of concurrent requests over a handful of scenarios and
-   mechanisms, letting requests share flush windows and warm sessions;
+   mechanisms, letting same-scenario requests share flushes and warm
+   sessions;
 3. verify every response is bit-identical to a direct cold
    MulticastSession run (the serving machinery may only change speed);
 4. show the observability surface: store hits/misses/evictions/
-   coalescing, batcher windows, per-status HTTP counters, and the
+   coalescing, batcher flushes, per-status HTTP counters, and the
    Prometheus-style metrics snapshot the registry accumulated
    (per-stage latency means, flush occupancy) — the same families
    ``GET /metrics`` serves over the wire.
@@ -49,15 +50,15 @@ def build_workload() -> list[tuple[ScenarioSpec, str, list[dict]]]:
 
 
 async def drive(workload) -> tuple[list[dict], dict]:
-    service = CostSharingService(cache_size=8, batch_window=0.01, max_batch=16)
+    service = CostSharingService(cache_size=8)
     client = ServiceClient(service)
 
     health_status, health = await client.healthz()
     assert health_status == 200, health
     print(f"service up: {health}")
 
-    # One concurrent burst: requests arriving inside the same flush
-    # window ride one batch; repeated scenarios hit the warm LRU.
+    # One concurrent burst: requests for the same scenario submitted
+    # together ride one flush; repeated scenarios hit the warm LRU.
     responses = await asyncio.gather(
         *(client.run(scenario, mechanism, profiles) for scenario, mechanism, profiles in workload)
     )
@@ -107,7 +108,7 @@ def main() -> None:
         f"flushes, largest batch {batcher['max_batch_size']}"
     )
     print(f"http: {stats['http']['responses']}")
-    assert batcher["max_batch_size"] >= 2, "burst should have shared a flush window"
+    assert batcher["max_batch_size"] >= 2, "burst should have shared a flush"
 
     # The metrics snapshot — the same exposition `GET /metrics` serves.
     parsed = parse_exposition(metrics_text)

@@ -67,7 +67,7 @@ def main() -> None:
     profiles = [{str(a): float(a % 3 + 1) for a in spec.agents()}]
 
     async def serve_all():
-        client = ServiceClient(CostSharingService(batch_window=0.005))
+        client = ServiceClient(CostSharingService())
         out = {}
         for epoch in range(spec.n_epochs):
             for group in spec.group_ids:

@@ -33,12 +33,12 @@ Three modes:
       python -m repro dynamic --n 12 --epochs 4 --mechanism jv --check
 
 * **Serving** (``serve`` / ``loadgen``): runs the asyncio HTTP/JSON
-  endpoint of :mod:`repro.service` (LRU session store, request
-  coalescing, micro-batched execution, 429 backpressure), and drives it
+  endpoint of :mod:`repro.service` (LRU session store, execution
+  group-committed per scenario, 429 backpressure), and drives it
   with a deterministic closed-loop load generator reporting p50/p95
   latency and throughput::
 
-      python -m repro serve --port 8123 --cache-size 64 --batch-window 0.005
+      python -m repro serve --port 8123 --cache-size 64
       python -m repro loadgen --port 8123 --requests 100 --concurrency 8
 
   The server exposes Prometheus text metrics on ``GET /metrics`` and
@@ -46,7 +46,7 @@ Three modes:
   ``loadgen`` scrapes the metrics and summarizes per-stage latency next
   to its client-side percentiles.  SIGTERM stops ``serve`` and ``fleet``
   the way Ctrl-C does: the server drains, and a fleet router terminates
-  its workers.
+  its workers.  Any later SIGTERM is ignored while that shutdown runs.
 
 * **Sharded fleets** (``fleet`` / ``serve --workers N``): the same wire
   protocol served by a consistent-hash router over N shared-nothing
@@ -441,15 +441,29 @@ async def _serve_until_stopped(app, host: str, port: int, ready) -> None:
     ``asyncio.run`` answers Ctrl-C by cancelling its main task; SIGTERM
     does the same here, so both unwind through the same ``finally``
     blocks: the server closes and drains, then the caller closes its
-    logs or terminates its fleet workers."""
+    logs or terminates its fleet workers.  The first SIGTERM also makes
+    the process ignore later ones, so a second (a group kill, then a
+    supervisor's ``terminate()``) cannot cancel the drain or kill a
+    router still stopping its workers; SIGKILL still ends a stuck
+    shutdown.  A plain ``signal`` handler, not the loop's: that one
+    writes to a wakeup fd that ``asyncio.run`` closes on exit."""
     import asyncio
     import signal
 
     from repro.service import run_server
 
-    asyncio.get_running_loop().add_signal_handler(
-        signal.SIGTERM, asyncio.current_task().cancel)
-    await run_server(app, host, port, ready=ready)
+    loop, main = asyncio.get_running_loop(), asyncio.current_task()
+
+    def stop(signum, frame) -> None:
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        loop.call_soon_threadsafe(main.cancel)
+
+    previous = signal.signal(signal.SIGTERM, stop)
+    try:
+        await run_server(app, host, port, ready=ready)
+    finally:
+        if signal.getsignal(signal.SIGTERM) is stop:
+            signal.signal(signal.SIGTERM, previous)
 
 
 def serve_command(argv: list[str]) -> int:
@@ -469,11 +483,6 @@ def serve_command(argv: list[str]) -> int:
     parser.add_argument("--cache-size", type=int, default=64,
                         help="LRU session store capacity (scenarios kept warm; "
                              "0 disables retention)")
-    parser.add_argument("--batch-window", type=float, default=0.005,
-                        help="micro-batch collection window in seconds "
-                             "(0 = flush every request immediately)")
-    parser.add_argument("--max-batch", type=int, default=32,
-                        help="flush early once this many requests are pending")
     parser.add_argument("--queue-limit", type=int, default=128,
                         help="admitted in-flight requests beyond which new "
                              "ones are answered 429 + Retry-After")
@@ -511,8 +520,7 @@ def serve_command(argv: list[str]) -> int:
                 if getattr(args, "span_log", None) else None)
     try:
         service = CostSharingService(
-            cache_size=args.cache_size, batch_window=args.batch_window,
-            max_batch=args.max_batch, queue_limit=args.queue_limit,
+            cache_size=args.cache_size, queue_limit=args.queue_limit,
             request_log=request_log, shard=args.shard, spans=span_log)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -547,9 +555,7 @@ def _serve_fleet(args) -> int:
 
     try:
         fleet = Fleet(workers=args.workers, host=args.host,
-                      cache_size=args.cache_size,
-                      batch_window=args.batch_window,
-                      max_batch=args.max_batch, queue_limit=args.queue_limit,
+                      cache_size=args.cache_size, queue_limit=args.queue_limit,
                       request_log_dir=getattr(args, "request_log", None),
                       span_log_dir=getattr(args, "span_log", None),
                       replicas=getattr(args, "replicas", None) or 64)
@@ -600,9 +606,6 @@ def fleet_command(argv: list[str]) -> int:
                         help="initial worker processes (shards w0..wN-1)")
     parser.add_argument("--cache-size", type=int, default=64,
                         help="per-worker LRU session store capacity")
-    parser.add_argument("--batch-window", type=float, default=0.005,
-                        help="per-worker micro-batch window in seconds")
-    parser.add_argument("--max-batch", type=int, default=32)
     parser.add_argument("--queue-limit", type=int, default=128,
                         help="per-worker admission limit (429 beyond it)")
     parser.add_argument("--replicas", type=int, default=64,

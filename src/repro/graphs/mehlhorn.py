@@ -181,9 +181,12 @@ def mehlhorn_steiner_tree(graph: Graph | ArrayGraph, terminals: Sequence[int]) -
         return SteinerTree((), 0.0, frozenset())
     if len(terminals) == 1:
         return SteinerTree((), 0.0, frozenset(terminals))
-    aux = mehlhorn_aux_metric(graph, terminals)
-    mst_ids, _ = aux.spanning_mst()  # raises when terminals are disconnected
+    # Coerce a dict graph once: an array graph passes through
+    # mehlhorn_aux_metric unchanged, and one that cannot convert makes
+    # it raise.
     arr = as_array_backend(graph, prefer="auto")
+    aux = mehlhorn_aux_metric(graph if arr is None else arr, terminals)
+    mst_ids, _ = aux.spanning_mst()  # raises when terminals are disconnected
 
     expanded = Graph()
     expanded.add_nodes(terminals)

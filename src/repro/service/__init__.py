@@ -9,9 +9,10 @@ subsystem that serves pricing requests over long-lived warm state.
   :class:`~repro.dynamic.DynamicSession`s for churn scenarios) keyed by
   the scenario's wire form, with single-flight coalescing of concurrent
   cold builds (:mod:`repro.service.state`);
-* :class:`MicroBatcher` — collects in-flight requests over a short
-  window and executes them per-scenario on shared caches
-  (:mod:`repro.service.batching`);
+* :class:`MicroBatcher` — group commit per scenario: a request flushes
+  at once unless its scenario's flush is running, and every request
+  that arrived meanwhile rides that scenario's next flush on shared
+  caches (:mod:`repro.service.batching`);
 * :class:`CostSharingService` / :class:`ServiceClient` /
   :class:`ServiceServer` — the transport-agnostic dispatch core, the
   in-process client, and the asyncio HTTP/1.1 endpoint with bounded

@@ -1,13 +1,16 @@
-"""Micro-batched mechanism execution over the session store.
+"""Group-committed mechanism execution over the session store.
 
 A serving process under concurrent load sees the same scenario many
-times in a short interval.  :class:`MicroBatcher` exploits that: run
-requests submitted while a flush window is open are collected, grouped
-by scenario, and executed per scenario on one warm
-:class:`~repro.api.session.MulticastSession` via ``run_batch`` — one
-mechanism lookup and one memoised ``xi`` cache shared across every
-request of the group, while distinct scenarios execute concurrently on
-the worker pool.
+times in a short interval.  :class:`MicroBatcher` group-commits per
+scenario key: a request whose key has no flush scheduled or running
+schedules one for the next loop iteration (so a ``/v1/batch`` envelope
+or a burst shares it), and requests that arrive while their key's flush
+runs go together in the key's next flush, which the running one starts
+as it completes.  No clock is involved: a lone request flushes at once.
+A flush makes one store lookup and prices its requests serially on the
+one warm :class:`~repro.api.session.MulticastSession`; distinct keys
+flush concurrently on the worker pool, so one key's cold build never
+holds back another key's answers.
 
 Batching changes *when* work runs, never *what* it computes: each
 request's results are a pure function of ``(scenario, mechanism,
@@ -15,12 +18,6 @@ profiles)`` (the caches only avoid recomputing pure functions), so a
 response is bit-identical whether the request flushed alone, rode a
 batch, or bypassed the batcher entirely — property-tested in
 ``tests/test_service_property.py``.
-
-The flush window is the latency the operator trades for throughput
-(``window=0`` disables collection: every request flushes immediately,
-still through the store's warm sessions).  ``max_batch`` bounds the
-collection — a full window flushes early, so the pending queue can never
-grow beyond one window's worth of admitted requests.
 
 Telemetry: counters, the flush-occupancy histogram, and the
 ``queue``/``build``/``execute`` legs of the per-request stage histogram
@@ -47,7 +44,7 @@ from repro.service.state import SessionStore, StoreEntry
 
 
 class MicroBatcher:
-    """Collects in-flight run requests and executes them per-scenario.
+    """Group-commits run requests per scenario key and executes them.
 
     Must be driven from one asyncio event loop (``submit`` is a
     coroutine); the actual mechanism execution happens on
@@ -55,14 +52,9 @@ class MicroBatcher:
     stays responsive while mechanisms run.
     """
 
-    def __init__(self, store: SessionStore, *, window: float = 0.005,
-                 max_batch: int = 32, executor: Executor | None = None,
+    def __init__(self, store: SessionStore, *, executor: Executor | None = None,
                  spans=None) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.store = store
-        self.window = max(0.0, float(window))
-        self.max_batch = int(max_batch)
         self._executor = executor
         # Request-span recorder (tracing): each flush becomes one span
         # (rooting its own trace — the requests it serves belong to
@@ -70,10 +62,14 @@ class MicroBatcher:
         # are recorded as children of that request's own span, linked
         # to the flush via flush_trace_id/flush_span_id attributes.
         self.spans = spans if spans is not None else NULL_SPAN_RECORDER
-        self._pending: list[tuple[RunRequest, asyncio.Future, float,
-                                  SpanContext | None]] = []
-        self._flush_handle: asyncio.TimerHandle | None = None
-        self._tasks: set[asyncio.Task] = set()
+        # Per scenario key: the requests waiting for the key's next
+        # flush, and the flush running now.  A key that is pending but
+        # not running has its flush scheduled for the next loop
+        # iteration; one that is both starts its next flush when the
+        # running one completes.
+        self._pending: dict[str, list[tuple[RunRequest, asyncio.Future, float,
+                                            SpanContext | None]]] = {}
+        self._running: dict[str, asyncio.Task] = {}
         # -- telemetry (in the store's registry, one shared lock) -----------
         self.registry = store.registry
         self._c_requests = self.registry.counter(
@@ -86,9 +82,6 @@ class MicroBatcher:
         self._h_occupancy = self.registry.histogram(
             "repro_batch_occupancy", "Requests per micro-batch flush",
             buckets=BATCH_OCCUPANCY_BUCKETS)
-        self.registry.gauge(
-            "repro_batch_window_seconds",
-            "Micro-batch flush window in force").set(self.window)
         self._g_max_seen = self.registry.gauge(
             "repro_batch_max_size", "Largest flush observed")
         self._h_stage = stage_histogram(self.registry)
@@ -109,78 +102,56 @@ class MicroBatcher:
         this request's queue/execute spans under (``None``: untraced)."""
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        self._pending.append((request, future, time.perf_counter(), context))
+        key = request.key
+        if key not in self._pending and key not in self._running:
+            loop.call_soon(self._flush, key)
+        self._pending.setdefault(key, []).append(
+            (request, future, time.perf_counter(), context))
         self._c_requests.inc()
-        if self.window <= 0.0 or len(self._pending) >= self.max_batch:
-            self._flush()
-        elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(self.window, self._flush)
         return await future
 
     def pending(self) -> int:
-        """Requests collected but not yet flushed."""
-        return len(self._pending)
-
-    def in_flight(self) -> int:
-        """Requests handed to the executor whose results are still due."""
-        return sum(task._repro_size for task in self._tasks)  # type: ignore[attr-defined]
+        """Requests waiting for their key's flush to start."""
+        return sum(map(len, self._pending.values()))
 
     # -- flushing ------------------------------------------------------------
-    def _flush(self) -> None:
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        batch, self._pending = self._pending, []
-        if not batch:
-            return
+    def _flush(self, key: str) -> None:
+        group = self._pending.pop(key)
         with self.registry.lock:
             self._c_flushes.inc()
-            self._g_max_seen.set_max(len(batch))
-            self._h_occupancy.observe(len(batch))
-            if len(batch) > 1:
-                self._c_batched.inc(len(batch))
-        groups: dict[str, list[tuple[RunRequest, asyncio.Future, float,
-                                     SpanContext | None]]] = {}
-        for item in batch:
-            groups.setdefault(item[0].key, []).append(item)
-        # One flush span covers the whole flush (all its scenario groups);
-        # it finishes when the last group's work completes.  It roots its
-        # own trace — the requests it serves each live in their own —
-        # and the per-request execute spans link back to it.
+            self._g_max_seen.set_max(len(group))
+            self._h_occupancy.observe(len(group))
+            if len(group) > 1:
+                self._c_batched.inc(len(group))
         flush_span = (self.spans.span("flush",
-                                      attributes={"requests": len(batch)})
+                                      attributes={"requests": len(group)})
                       if self.spans.enabled else None)
-        remaining = [len(groups)]
+        task = asyncio.ensure_future(self._execute_group(
+            group,
+            flush_context=flush_span.context if flush_span is not None else None))
+        self._running[key] = task
+        task.add_done_callback(lambda _: self._flushed(key, flush_span))
 
-        def group_done(_task) -> None:
-            remaining[0] -= 1
-            if remaining[0] == 0 and flush_span is not None:
-                flush_span.finish()
-
-        for group in groups.values():
-            task = asyncio.ensure_future(self._execute_group(
-                group,
-                flush_context=(flush_span.context
-                               if flush_span is not None else None),
-                batch_size=len(batch)))
-            task._repro_size = len(group)  # type: ignore[attr-defined]
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-            task.add_done_callback(group_done)
+    def _flushed(self, key: str, flush_span) -> None:
+        """A key's flush completed: start the key's next flush with
+        every request that arrived meanwhile."""
+        if flush_span is not None:
+            flush_span.finish()
+        del self._running[key]
+        if key in self._pending:
+            self._flush(key)
 
     async def _execute_group(
             self,
             group: list[tuple[RunRequest, asyncio.Future, float,
                               SpanContext | None]],
-            *, flush_context: SpanContext | None = None,
-            batch_size: int = 1) -> None:
+            *, flush_context: SpanContext | None = None) -> None:
         loop = asyncio.get_running_loop()
         requests = [(request, enqueued, context)
                     for request, _, enqueued, context in group]
         try:
             outcomes = await loop.run_in_executor(
-                self._executor, self._run_group, requests, flush_context,
-                batch_size)
+                self._executor, self._run_group, requests, flush_context)
         except BaseException as exc:  # store build failure: fail the group
             for _, future, _, _ in group:
                 if not future.cancelled():
@@ -196,8 +167,7 @@ class MicroBatcher:
 
     def _run_group(self, requests: list[tuple[RunRequest, float,
                                               SpanContext | None]],
-                   flush_context: SpanContext | None = None,
-                   batch_size: int = 1) -> list:
+                   flush_context: SpanContext | None = None) -> list:
         """Synchronous worker body: one store lookup for the whole group,
         then every request priced on the shared session.  Per-request
         failures (e.g. a profile naming stray agents) stay per-request —
@@ -218,9 +188,10 @@ class MicroBatcher:
         if build_span is not None:
             build_span.finish()
         self._h_stage.labels(stage="build").observe(build)
-        link = ({"flush_trace_id": flush_context.trace_id,
-                 "flush_span_id": flush_context.span_id}
-                if flush_context is not None else {})
+        flush = ({"flush_trace_id": flush_context.trace_id,
+                  "flush_span_id": flush_context.span_id,
+                  "batch_size": len(requests)}
+                 if flush_context is not None else {})
         outcomes: list = []
         for request, enqueued, context in requests:
             queue = max(0.0, started - enqueued)
@@ -235,7 +206,7 @@ class MicroBatcher:
                     self.spans.observe(
                         "execute", duration=time.perf_counter() - t0,
                         parent=context, status="error",
-                        attributes={**link, "batch_size": batch_size,
+                        attributes={**flush,
                                     "error": f"{type(exc).__name__}: {exc}"})
                 outcomes.append(exc)
                 continue
@@ -244,7 +215,7 @@ class MicroBatcher:
             if context is not None:
                 self.spans.observe(
                     "execute", duration=execute, parent=context,
-                    attributes={**link, "batch_size": batch_size})
+                    attributes=flush)
             outcomes.append((results, {
                 "queue": queue, "build": build, "execute": execute}))
         return outcomes
@@ -269,20 +240,19 @@ class MicroBatcher:
 
     # -- lifecycle -----------------------------------------------------------
     async def drain(self) -> None:
-        """Flush anything pending and wait for all in-flight work."""
-        self._flush()
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
+        """Wait until every submitted request has been answered."""
+        while self._pending or self._running:
+            await asyncio.sleep(0)  # let scheduled flushes start
+            await asyncio.gather(*self._running.values(),
+                                 return_exceptions=True)
 
     def stats(self) -> dict:
         """Counter snapshot — one atomic read under the registry lock."""
         with self.registry.lock:
             return {
-                "window": self.window,
-                "max_batch": self.max_batch,
                 "requests": int(self._c_requests.value),
                 "batches": int(self._c_flushes.value),
                 "batched_requests": int(self._c_batched.value),
                 "max_batch_size": int(self._g_max_seen.value),
-                "pending": len(self._pending),
+                "pending": self.pending(),
             }

@@ -654,8 +654,8 @@ class FleetRouter:
                                    "substrate_sessions_shared")),
             "batcher": agg("batcher", ("requests", "batches",
                                        "batched_requests", "pending",
-                                       "max_batch", "max_batch_size", "window"),
-                           maxima=("max_batch", "max_batch_size", "window")),
+                                       "max_batch_size"),
+                           maxima=("max_batch_size",)),
             "http": {"requests": agg("http", ("requests",))["requests"],
                      "rejected": agg("http", ("rejected",))["rejected"],
                      "responses": {code: responses[code]
@@ -712,7 +712,6 @@ class Fleet:
 
     def __init__(self, workers: int = 2, *, host: str = "127.0.0.1",
                  replicas: int = DEFAULT_REPLICAS, cache_size: int = 64,
-                 batch_window: float = 0.005, max_batch: int = 32,
                  queue_limit: int = 128, request_log_dir: str | None = None,
                  span_log_dir: str | None = None,
                  shard_prefix: str = "w", registry: MetricsRegistry | None = None,
@@ -737,8 +736,6 @@ class Fleet:
         self._counter = 0
         self._counter_lock = threading.Lock()
         self.worker_flags = ("--cache-size", str(int(cache_size)),
-                             "--batch-window", repr(float(batch_window)),
-                             "--max-batch", str(int(max_batch)),
                              "--queue-limit", str(int(queue_limit)))
         # The router's batch-envelope bound mirrors the worker's own
         # (CostSharingService clamps max_batch_requests to queue_limit).

@@ -8,10 +8,10 @@ server issue byte-identical request bodies in the same per-worker order.
 
 Closed loop means each worker sends its next request the moment the
 previous answer lands (the service's own latency paces the offered
-load), which is the shape that exercises the LRU store, the single-
-flight coalescing and the micro-batcher together: concurrent workers
-keep several requests in flight, so cold scenarios coalesce and warm
-requests share flush windows.
+load), which is the shape that exercises the LRU store and the
+micro-batcher together: concurrent workers keep several requests in
+flight, so warm requests that arrive while their scenario's flush runs
+share its next one.
 
 The report carries per-request latencies (p50/p95/max), throughput, the
 status-code histogram, the server's ``/v1/stats`` snapshot *and* its

@@ -110,8 +110,7 @@ class CostSharingService:
     """The transport-agnostic serving application (store + batcher +
     admission control + routing + telemetry)."""
 
-    def __init__(self, *, cache_size: int = 64, batch_window: float = 0.005,
-                 max_batch: int = 32, queue_limit: int = 128,
+    def __init__(self, *, cache_size: int = 64, queue_limit: int = 128,
                  max_batch_requests: int = 64, max_body: int = 8 << 20,
                  retry_after: float = 1.0, executor=None,
                  registry: MetricsRegistry | None = None,
@@ -136,8 +135,7 @@ class CostSharingService:
         self.spans.use_registry(self.registry)
         self.store = SessionStore(capacity=cache_size, registry=self.registry,
                                   spans=self.spans)
-        self.batcher = MicroBatcher(self.store, window=batch_window,
-                                    max_batch=max_batch, executor=executor,
+        self.batcher = MicroBatcher(self.store, executor=executor,
                                     spans=self.spans)
         self.queue_limit = int(queue_limit)
         # A batch must be admissible on an idle server: anything larger

@@ -57,8 +57,7 @@ class TestReportStatsOnEmpty:
 def test_429_backpressure_is_retried_to_success():
     # queue_limit=1 with concurrent workers forces admission rejections;
     # the bounded retry loop must turn them into eventual 200s.
-    with ServerThread(queue_limit=1, retry_after=0.02,
-                      batch_window=0.0) as server:
+    with ServerThread(queue_limit=1, retry_after=0.02) as server:
         report = run_loadgen(host="127.0.0.1", port=server.port, requests=12,
                              concurrency=4, n=6, alpha=2.0, side=5.0,
                              seeds=[0], layouts=["uniform"],
@@ -72,8 +71,7 @@ def test_429_backpressure_is_retried_to_success():
 
 
 def test_retry_limit_zero_surfaces_the_429s():
-    with ServerThread(queue_limit=1, retry_after=0.02,
-                      batch_window=0.0) as server:
+    with ServerThread(queue_limit=1, retry_after=0.02) as server:
         report = run_loadgen(host="127.0.0.1", port=server.port, requests=12,
                              concurrency=4, n=6, alpha=2.0, side=5.0,
                              seeds=[0], layouts=["uniform"],
@@ -106,8 +104,7 @@ def test_trace_mode_against_queue_limited_server():
     from repro.traces import generate_trace
 
     trace = generate_trace(n=6, groups=2, epochs=2, seed=0)
-    with ServerThread(queue_limit=1, retry_after=0.02,
-                      batch_window=0.0) as server:
+    with ServerThread(queue_limit=1, retry_after=0.02) as server:
         report = run_loadgen(host="127.0.0.1", port=server.port, requests=0,
                              concurrency=3, n=0, alpha=2.0, side=5.0,
                              seeds=[], layouts=[], mechanisms=["jv"],

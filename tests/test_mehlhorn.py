@@ -124,6 +124,17 @@ class TestMehlhornSteinerTree:
         t_csr = mehlhorn_steiner_tree(CSRGraph.from_graph(g), [0, 7])
         assert t_dense.cost == t_csr.cost == pytest.approx(7.0)
 
+    def test_dict_graph_is_converted_once(self, monkeypatch):
+        conversions = []
+        for cls in (DenseGraph, CSRGraph):
+            def counting(graph, _convert=cls.from_graph):
+                conversions.append(graph)
+                return _convert(graph)
+            monkeypatch.setattr(cls, "from_graph", counting)
+        tree = mehlhorn_steiner_tree(path_graph(8), [0, 3, 7])
+        assert tree.cost == pytest.approx(7.0)
+        assert len(conversions) == 1
+
     def test_dense_graph_passthrough(self):
         net = random_net(4)
         dense = DenseGraph.from_cost_graph(net)

@@ -30,7 +30,7 @@ def _priced_line(service_kwargs: dict) -> tuple[dict, str, dict]:
     spec = _spec(0)
     stream = io.StringIO()
     service = CostSharingService(
-        batch_window=0.0, request_log=RequestLogger(stream),
+        request_log=RequestLogger(stream),
         **service_kwargs)
 
     async def go():

@@ -50,7 +50,7 @@ def test_metrics_endpoint_serves_every_pipeline_family():
     profiles = _profiles(spec)
 
     async def go():
-        client = ServiceClient(CostSharingService(batch_window=0.0))
+        client = ServiceClient(CostSharingService())
         for _ in range(3):
             status, _ = await client.run(spec, "jv", profiles)
             assert status == 200
@@ -89,7 +89,7 @@ def test_metrics_histogram_invariants_on_the_wire():
     spec = _spec(1)
 
     async def go():
-        client = ServiceClient(CostSharingService(batch_window=0.0))
+        client = ServiceClient(CostSharingService())
         await client.run(spec, "tree-shapley", _profiles(spec))
         _, text = await client.metrics()
         return text
@@ -120,7 +120,7 @@ def test_http_metrics_content_type_and_scrapeability():
                        "profiles": [{str(a): 4.0 for a in spec.agents()}]}).encode()
 
     async def go():
-        service = CostSharingService(batch_window=0.0)
+        service = CostSharingService()
         server = await ServiceServer(service, port=0).start()
         try:
             reader, writer = await asyncio.open_connection("127.0.0.1",
@@ -155,7 +155,7 @@ def test_stats_carries_registry_snapshot_next_to_pinned_legacy_keys():
     spec = _spec(3)
 
     async def go():
-        client = ServiceClient(CostSharingService(batch_window=0.0))
+        client = ServiceClient(CostSharingService())
         await client.run(spec, "jv", _profiles(spec))
         await client.run(spec, "jv", _profiles(spec))
         status, stats = await client.stats()
@@ -190,7 +190,7 @@ def test_responses_bit_identical_to_direct_session_with_observability_on():
     profiles = _profiles(spec)
     stream = io.StringIO()
     registry = MetricsRegistry()
-    service = CostSharingService(batch_window=0.0, registry=registry,
+    service = CostSharingService(registry=registry,
                                  request_log=RequestLogger(stream))
 
     async def go():
@@ -214,7 +214,7 @@ def test_request_log_emits_one_json_line_per_priced_request():
     spec = _spec(5)
     stream = io.StringIO()
     logger = RequestLogger(stream, clock=lambda: 1234.5)
-    service = CostSharingService(batch_window=0.0, request_log=logger)
+    service = CostSharingService(request_log=logger)
 
     async def go():
         client = ServiceClient(service)

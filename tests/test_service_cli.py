@@ -9,8 +9,12 @@ as a subprocess — the exact shape the CI smoke job uses.
 from __future__ import annotations
 
 import asyncio
+import http.client
+import json
 import os
 import pathlib
+import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -19,6 +23,7 @@ import time
 import pytest
 
 from repro.__main__ import main
+from repro.api import ScenarioSpec
 from repro.service import CostSharingService, ServiceServer
 from repro.service.loadgen import LoadReport, build_requests, run_loadgen
 
@@ -73,7 +78,7 @@ def test_build_requests_is_deterministic_and_validates():
 
 
 def test_loadgen_against_real_server_engages_the_warm_paths(capsys):
-    with ServerThread(batch_window=0.03, cache_size=8) as server:
+    with ServerThread(cache_size=8) as server:
         code = main(["loadgen", "--port", str(server.port), "--requests", "16",
                      "--concurrency", "4", "--n", "8",
                      "--mechanisms", "tree-shapley,jv", "--expect-engaged"])
@@ -139,7 +144,7 @@ def test_run_server_coroutine_serves_and_cancels_cleanly():
         from repro.service import run_server
 
         bound = {}
-        service = CostSharingService(batch_window=0.0)
+        service = CostSharingService()
         task = asyncio.ensure_future(
             run_server(service, "127.0.0.1", 0, ready=lambda s: bound.update(port=s.port)))
         while "port" not in bound:
@@ -160,8 +165,7 @@ def test_serve_subprocess_answers_a_loadgen_burst(tmp_path):
     env = {**os.environ,
            "PYTHONPATH": f"{REPO_SRC}{os.pathsep}" + os.environ.get("PYTHONPATH", "")}
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--batch-window", "0.02"],
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
     try:
         line = process.stdout.readline()
@@ -182,3 +186,48 @@ def test_serve_subprocess_answers_a_loadgen_burst(tmp_path):
     finally:
         process.terminate()
         process.wait(timeout=10.0)
+
+
+def test_serve_exits_cleanly_on_a_second_sigterm_while_draining():
+    """The first SIGTERM lands while a cold request is in flight, the
+    second while the server still drains it (a process-group kill then
+    a supervisor's ``terminate()``): ``serve`` finishes its shutdown
+    and exits 0, with no traceback."""
+    env = {**os.environ,
+           "PYTHONPATH": f"{REPO_SRC}{os.pathsep}" + os.environ.get("PYTHONPATH", "")}
+    spec = ScenarioSpec.from_random(n=400, alpha=2.0, seed=0)
+    body = json.dumps({"scenario": spec.to_dict(), "mechanism": "jv",
+                       "profiles": [{str(a): 1.0 for a in spec.agents()}]})
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
+    try:
+        line = process.stdout.readline()
+        assert "serving on http://" in line, line
+        port = int(line.strip().rsplit(":", 1)[1])
+        # The cold build (~1 s) runs on the server's worker thread; its
+        # answer is never read.
+        with socket.create_connection(("127.0.0.1", port), timeout=10.0) as client:
+            client.sendall(f"POST /v1/run HTTP/1.1\r\nHost: t\r\n"
+                           f"Content-Length: {len(body)}\r\n\r\n{body}".encode())
+            deadline = time.monotonic() + 30.0
+            in_flight = 0
+            while not in_flight and time.monotonic() < deadline:
+                connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+                try:
+                    connection.request("GET", "/v1/stats")
+                    stats = json.loads(connection.getresponse().read())
+                finally:
+                    connection.close()
+                in_flight = stats["http"]["in_flight"]
+            assert in_flight == 1
+            process.send_signal(signal.SIGTERM)
+            time.sleep(0.3)
+            process.send_signal(signal.SIGTERM)
+            output, _ = process.communicate(timeout=60.0)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+    assert process.returncode == 0, output
+    assert "Traceback" not in output, output

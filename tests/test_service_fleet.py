@@ -53,7 +53,6 @@ def wire_bytes(payload) -> bytes:
 def fleet_router(n_workers: int = 2, **service_kwargs):
     """A FleetRouter over ``n_workers`` in-process services, each behind
     a real socket; yields (router, backing services)."""
-    service_kwargs.setdefault("batch_window", 0.0)
     service_kwargs.setdefault("cache_size", 8)
     servers, services = [], []
     router = FleetRouter()
@@ -83,7 +82,7 @@ def _bodies(count: int = 10, n: int = 6) -> list[bytes]:
 
 # -- bit-identity ------------------------------------------------------------
 def test_run_responses_are_bit_identical_through_the_router():
-    single = CostSharingService(batch_window=0.0, cache_size=8)
+    single = CostSharingService(cache_size=8)
     with fleet_router(3) as (router, _):
 
         async def scenario():
@@ -98,7 +97,7 @@ def test_run_responses_are_bit_identical_through_the_router():
 
 
 def test_batch_splits_across_shards_and_merges_bit_identically():
-    single = CostSharingService(batch_window=0.0, cache_size=16)
+    single = CostSharingService(cache_size=16)
     with fleet_router(3) as (router, services):
         schedule = build_requests(requests=9, n=6, alpha=2.0, side=10.0,
                                   seeds=[0, 1, 2], layouts=["uniform", "ring"],
@@ -122,7 +121,7 @@ def test_batch_splits_across_shards_and_merges_bit_identically():
 
 
 def test_error_paths_are_bit_identical_through_the_router():
-    single = CostSharingService(batch_window=0.0, cache_size=8)
+    single = CostSharingService(cache_size=8)
     cases = [
         ("POST", "/v1/run", b"{not json"),
         ("POST", "/v1/run", b'{"scenario": 3}'),
@@ -148,7 +147,7 @@ def test_error_paths_are_bit_identical_through_the_router():
 
 
 def test_oversized_batch_rejected_with_413_parity():
-    single = CostSharingService(batch_window=0.0, max_batch_requests=4)
+    single = CostSharingService(max_batch_requests=4)
     request = _bodies(1)[0]
     body = json.dumps({"requests": [json.loads(request)] * 5},
                       sort_keys=True).encode("utf-8")
@@ -220,7 +219,7 @@ def test_router_health_and_empty_ring_503():
 def test_unreachable_shard_answers_503():
     router = FleetRouter()
     # A worker whose socket nothing listens on.
-    dead = BackgroundServer(CostSharingService(batch_window=0.0))
+    dead = BackgroundServer(CostSharingService())
     port = dead.start()
     dead.stop()
     router.attach(FleetWorker("w0", WorkerClient("127.0.0.1", port)))
@@ -405,7 +404,7 @@ def test_fleet_cli_serves_workers_behind_one_router():
                          if env.get("PYTHONPATH") else str(REPO_SRC))
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "fleet", "--port", "0",
-         "--workers", "2", "--batch-window", "0.0"],
+         "--workers", "2"],
         stdout=subprocess.PIPE, text=True, env=env)
     try:
         port = None

@@ -2,7 +2,7 @@
 
 For random scenario/mechanism/profile triples, the service's cold path
 (fresh store), warm path (LRU hit), and micro-batched path (requests
-sharing a flush window) must produce responses *bit-identical* — compared
+sharing a flush) must produce responses *bit-identical* — compared
 as sorted-key JSON bytes — to a direct cold
 :class:`~repro.api.MulticastSession` run.  The store and batcher may only
 change when work happens, never what it computes.
@@ -55,12 +55,12 @@ def test_cold_warm_and_batched_paths_are_bit_identical(scenario, mechanism, data
     direct = _direct_wire(scenario, mechanism, profiles)
 
     async def go():
-        service = CostSharingService(cache_size=4, batch_window=0.01)
+        service = CostSharingService(cache_size=4)
         client = ServiceClient(service)
         cold_status, cold = await client.run(scenario, mechanism, profiles)
         warm_status, warm = await client.run(scenario, mechanism, profiles)
-        # Batched: several concurrent requests share one flush window
-        # (and, for the repeated one, the same scenario group).
+        # Batched: several concurrent requests for one scenario share
+        # one flush.
         batched = await asyncio.gather(
             client.run(scenario, mechanism, profiles),
             client.run(scenario, mechanism, profiles[:1]),
@@ -97,7 +97,7 @@ def test_dynamic_epochs_match_cold_materialized_sessions(seed, epoch, mechanism,
     direct = _direct_wire(spec.materialize(epoch), mechanism, profiles)
 
     async def go():
-        client = ServiceClient(CostSharingService(batch_window=0.005))
+        client = ServiceClient(CostSharingService())
         status, payload = await client.run(spec, mechanism, profiles, epoch=epoch)
         repeat_status, repeat = await client.run(spec, mechanism, profiles,
                                                  epoch=epoch)

@@ -32,7 +32,6 @@ def _profiles(spec, utility=4.0):
 
 
 def _client(**kwargs) -> ServiceClient:
-    kwargs.setdefault("batch_window", 0.0)
     return ServiceClient(CostSharingService(**kwargs))
 
 
@@ -274,8 +273,9 @@ def test_full_queue_backpressure_is_429_with_retry_after():
     spec = _spec(7)
 
     async def go():
-        # window long enough that admitted requests stay pending.
-        service = CostSharingService(batch_window=5.0, queue_limit=2,
+        # Admitted requests stay in flight until the loop runs their
+        # flush, which this coroutine does not yield to before the 429.
+        service = CostSharingService(queue_limit=2,
                                      retry_after=0.25)
         client = ServiceClient(service)
         pending = [asyncio.ensure_future(client.run(spec, "jv", _profiles(spec)))
@@ -322,7 +322,7 @@ def test_lru_eviction_mid_flight_under_load():
             for r in MulticastSession(spec).run_batch("tree-shapley", _profiles(spec))]
 
     async def go():
-        client = _client(cache_size=1, batch_window=0.002)
+        client = _client(cache_size=1)
         for _ in range(3):
             outs = await asyncio.gather(*(
                 client.run(spec, "tree-shapley", _profiles(spec)) for spec in specs))
@@ -375,7 +375,7 @@ def test_http_server_round_trip_keep_alive_and_errors():
                                                         _profiles(spec))]
 
     async def go():
-        service = CostSharingService(batch_window=0.001, max_body=1 << 16)
+        service = CostSharingService(max_body=1 << 16)
         server = await ServiceServer(service, port=0).start()
         try:
             status, health, _ = await _raw_http(server.port, "GET", "/v1/healthz")
@@ -450,7 +450,7 @@ async def _exchange(port: int, raw: bytes) -> tuple[tuple[int, dict, dict], byte
 
 def test_http_header_lines_beyond_the_cap_are_431():
     async def go():
-        server = await ServiceServer(CostSharingService(batch_window=0.0),
+        server = await ServiceServer(CostSharingService(),
                                      port=0).start()
         try:
             # One line over the cap, and the header block never ends: the
@@ -476,7 +476,7 @@ def test_http_header_lines_beyond_the_cap_are_431():
 
 def test_http_negative_content_length_is_400():
     async def go():
-        server = await ServiceServer(CostSharingService(batch_window=0.0),
+        server = await ServiceServer(CostSharingService(),
                                      port=0).start()
         try:
             for length in (b"-5", b"five"):
@@ -496,7 +496,7 @@ def test_http_transfer_encoding_is_501_and_closes():
     # Only Content-Length framing is read: a chunked body left unread
     # would be parsed as a second request on the kept-alive connection.
     async def go():
-        server = await ServiceServer(CostSharingService(batch_window=0.0),
+        server = await ServiceServer(CostSharingService(),
                                      port=0).start()
         try:
             chunk = b'{"requests": []}'
@@ -515,7 +515,7 @@ def test_http_transfer_encoding_is_501_and_closes():
 @pytest.mark.parametrize("lengths", [(2, 40), (40, 2)])
 def test_http_conflicting_content_lengths_are_400_and_close(lengths):
     async def go():
-        server = await ServiceServer(CostSharingService(batch_window=0.0),
+        server = await ServiceServer(CostSharingService(),
                                      port=0).start()
         try:
             body = b"{}" + b" " * 36 + b"\r\n"  # 40 bytes
@@ -537,7 +537,7 @@ def test_stop_does_not_wait_for_idle_keep_alive_clients(stop):
     # From Python 3.12.1 asyncio's Server waits for open client
     # connections when it closes, so the handlers must be cancelled first.
     async def go():
-        server = await ServiceServer(CostSharingService(batch_window=0.0),
+        server = await ServiceServer(CostSharingService(),
                                      port=0, read_timeout=5.0).start()
         serving = asyncio.ensure_future(server.serve_forever())
         reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
@@ -575,7 +575,7 @@ def test_cancel_in_wait_closed_never_reaches_the_loop_exception_handler(
         reported = []
         asyncio.get_running_loop().set_exception_handler(
             lambda loop, context: reported.append(context))
-        server = await ServiceServer(CostSharingService(batch_window=0.0),
+        server = await ServiceServer(CostSharingService(),
                                      port=0).start()
         try:
             _, writer = await asyncio.open_connection("127.0.0.1", server.port)

@@ -48,7 +48,7 @@ def dispatch(service, *calls):
 
 def test_traced_run_emits_the_full_span_family():
     spans = SpanRecorder(ids=seq_ids())
-    service = CostSharingService(batch_window=0.0, spans=spans)
+    service = CostSharingService(spans=spans)
     (status, _, headers), = dispatch(
         service, ("POST", "/v1/run", _body(_spec(0))))
     assert status == 200
@@ -85,7 +85,7 @@ def test_traced_run_emits_the_full_span_family():
 
 
 def test_trace_id_header_is_pinned_32_hex():
-    service = CostSharingService(batch_window=0.0, spans=SpanRecorder())
+    service = CostSharingService(spans=SpanRecorder())
     (status, _, headers), = dispatch(
         service, ("POST", "/v1/run", _body(_spec(1))))
     assert status == 200
@@ -99,7 +99,7 @@ def test_trace_id_header_is_pinned_32_hex():
 
 def test_incoming_traceparent_continues_the_trace():
     spans = SpanRecorder(ids=seq_ids())
-    service = CostSharingService(batch_window=0.0, spans=spans)
+    service = CostSharingService(spans=spans)
     upstream = parse_traceparent("00-" + "ab" * 16 + "-" + "cd" * 8 + "-01")
     (status, _, headers), = dispatch(
         service,
@@ -112,7 +112,7 @@ def test_incoming_traceparent_continues_the_trace():
 
 
 def test_untraced_service_sends_no_trace_header():
-    service = CostSharingService(batch_window=0.0)
+    service = CostSharingService()
     (status, _, headers), = dispatch(
         service, ("POST", "/v1/run", _body(_spec(3))))
     assert status == 200
@@ -121,7 +121,7 @@ def test_untraced_service_sends_no_trace_header():
 
 def test_bad_request_still_echoes_a_trace_and_marks_the_status():
     spans = SpanRecorder(ids=seq_ids())
-    service = CostSharingService(batch_window=0.0, spans=spans)
+    service = CostSharingService(spans=spans)
     (status, _, headers), = dispatch(
         service, ("POST", "/v1/run", b"{not json"))
     assert status == 400
@@ -133,8 +133,8 @@ def test_bad_request_still_echoes_a_trace_and_marks_the_status():
 
 def test_batch_requests_share_one_flush_ancestor():
     spans = SpanRecorder(ids=seq_ids())
-    # A real window: the batch's submissions collect into one flush.
-    service = CostSharingService(batch_window=0.05, max_batch=8, spans=spans)
+    # The batch's same-scenario submissions collect into one flush.
+    service = CostSharingService(spans=spans)
     spec = _spec(4)
     body = json.dumps(
         {"requests": [json.loads(_body(spec)) for _ in range(3)]},
@@ -156,7 +156,7 @@ def test_batch_requests_share_one_flush_ancestor():
 
 def test_stats_spans_block_counts_and_exemplifies():
     spans = SpanRecorder(ids=seq_ids())
-    service = CostSharingService(batch_window=0.0, spans=spans)
+    service = CostSharingService(spans=spans)
     (_, _, headers), (_, stats, _) = dispatch(
         service,
         ("POST", "/v1/run", _body(_spec(5))),
@@ -166,7 +166,7 @@ def test_stats_spans_block_counts_and_exemplifies():
     assert block["recorded"] >= 7 and block["dropped"] == 0
     assert block["exemplars"]["max"]["trace_id"] == headers[TRACE_ID_HEADER]
 
-    untraced = CostSharingService(batch_window=0.0)
+    untraced = CostSharingService()
     (_, stats, _), = dispatch(untraced, ("GET", "/v1/stats", b""))
     assert stats["spans"] == {"enabled": False}
 
@@ -174,8 +174,8 @@ def test_stats_spans_block_counts_and_exemplifies():
 def test_responses_bit_identical_with_tracing_on_off_and_propagated():
     bodies = [_body(_spec(seed), mechanism)
               for seed in (6, 7) for mechanism in ("jv", "tree-shapley")]
-    plain = CostSharingService(batch_window=0.0)
-    traced = CostSharingService(batch_window=0.0, spans=SpanRecorder())
+    plain = CostSharingService()
+    traced = CostSharingService(spans=SpanRecorder())
     upstream = parse_traceparent("00-" + "ab" * 16 + "-" + "cd" * 8 + "-01")
 
     async def go():

@@ -33,7 +33,7 @@ def direct_wire(group: str, epoch: int, mechanism: str) -> list[dict]:
 
 def test_run_endpoint_matches_direct_session_for_every_cell():
     async def go():
-        client = ServiceClient(CostSharingService(batch_window=0.0))
+        client = ServiceClient(CostSharingService())
         out = {}
         for epoch in range(SPEC.n_epochs):
             for group in SPEC.group_ids:
@@ -60,7 +60,7 @@ def test_batch_endpoint_mixes_groups_and_epochs():
         for group in SPEC.group_ids for epoch in (0, 1)]
 
     async def go():
-        client = ServiceClient(CostSharingService(batch_window=0.01))
+        client = ServiceClient(CostSharingService())
         status, payload = await client.request(
             "POST", "/v1/batch", {"requests": requests})
         await client.service.drain()
@@ -80,7 +80,7 @@ def test_batch_endpoint_mixes_groups_and_epochs():
 
 def test_repeat_requests_hit_the_warm_store_entry():
     async def go():
-        client = ServiceClient(CostSharingService(batch_window=0.0))
+        client = ServiceClient(CostSharingService())
         first = await client.run(SPEC, "jv", PROFILES, epoch=1, group="g0")
         second = await client.run(SPEC, "jv", PROFILES, epoch=1, group="g0")
         other = await client.run(SPEC, "jv", PROFILES, epoch=1, group="g1")
@@ -95,7 +95,7 @@ def test_repeat_requests_hit_the_warm_store_entry():
 
 def test_missing_group_is_a_400_not_a_500():
     async def go():
-        client = ServiceClient(CostSharingService(batch_window=0.0))
+        client = ServiceClient(CostSharingService())
         no_group = await client.run(SPEC, "jv", PROFILES, epoch=0)
         bad_group = await client.run(SPEC, "jv", PROFILES, epoch=0,
                                      group="g9")

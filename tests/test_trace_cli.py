@@ -96,7 +96,7 @@ class TestReplay:
 
 class TestLoadgenTraceFlags:
     def test_trace_replay_against_a_live_server(self, trace_file, capsys):
-        with ServerThread(batch_window=0.01) as server:
+        with ServerThread() as server:
             code = main(["loadgen", "--port", str(server.port),
                          "--trace", str(trace_file),
                          "--mechanisms", "tree-shapley",

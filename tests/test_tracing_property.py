@@ -37,7 +37,6 @@ def seq_ids(prefix: int):
 def traced_fleet(n_workers: int = 2, **service_kwargs):
     """A FleetRouter over traced in-process workers behind real sockets;
     yields (router, router stream, {shard: stream})."""
-    service_kwargs.setdefault("batch_window", 0.0)
     service_kwargs.setdefault("cache_size", 8)
     router_stream = io.StringIO()
     worker_streams: dict[str, io.StringIO] = {}
@@ -80,11 +79,11 @@ def _forest_shape(forest):
 
 
 def test_fleet_burst_spans_are_well_formed_and_order_independent():
-    with traced_fleet(2, batch_window=0.02, max_batch=16) as (
+    with traced_fleet(2) as (
             router, router_stream, worker_streams):
 
         async def burst():
-            # Concurrent same-scenario runs share flush windows on their
+            # Concurrent same-scenario runs share flushes on their
             # shard; the mixed tail spreads traffic over both workers.
             same = _bodies(1) * 6
             mixed = _bodies(10)
@@ -195,8 +194,7 @@ def test_fleet_responses_bit_identical_with_tracing_on_and_off():
     try:
         for index in range(2):
             shard = f"w{index}"
-            service = CostSharingService(shard=shard, batch_window=0.0,
-                                         cache_size=8)
+            service = CostSharingService(shard=shard, cache_size=8)
             server = BackgroundServer(service)
             port = server.start()
             servers.append(server)
@@ -245,7 +243,7 @@ def test_router_stats_and_metrics_dump_see_the_fleet(tmp_path, capsys):
 
 
 def test_metrics_dump_single_service_has_no_fleet_block(capsys):
-    service = CostSharingService(batch_window=0.0)
+    service = CostSharingService()
     server = BackgroundServer(service)
     port = server.start()
     try:
