@@ -6,9 +6,11 @@ coalition would rather secede.  Emptiness of the core rules out (weakly)
 cross-monotonic cost-sharing methods, the paper's argument for why the
 Euclidean ``alpha > 1, d > 1`` case needs approximate budget balance.
 
-The feasibility LP is solved with ``scipy.optimize.linprog``;
-:func:`verify_core_allocation` re-checks any produced allocation
-inequality-by-inequality so a numerical false-positive cannot slip through.
+The feasibility LP is solved with ``scipy.optimize.linprog``, imported
+inside the two LP functions: importing :mod:`repro` (and so every process
+that serves prices) never loads scipy.  :func:`verify_core_allocation`
+re-checks any produced allocation inequality-by-inequality so a numerical
+false-positive cannot slip through.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import itertools
 from collections.abc import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 Agent = int
 SetCost = Callable[[frozenset], float]
@@ -38,6 +39,8 @@ def core_allocation(
     Solves the feasibility LP ``min 0 s.t. f >= 0, sum f = C(N),
     sum_{i in R} f_i <= C(R) for all proper coalitions R``.
     """
+    from scipy.optimize import linprog
+
     agents = list(agents)
     n = len(agents)
     if n == 0:
@@ -103,6 +106,8 @@ def least_core_value(
     most ``C(R) + eps``.  ``eps > 0`` iff the core is empty; the magnitude
     measures *how* empty (used by the Fig. 2 experiment to show the
     violation does not vanish as the instance grows)."""
+    from scipy.optimize import linprog
+
     agents = list(agents)
     n = len(agents)
     index = {a: k for k, a in enumerate(agents)}

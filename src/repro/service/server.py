@@ -472,6 +472,10 @@ class ServiceServer:
         self.read_timeout = float(read_timeout)
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
+        # Connections between reading a request and writing its answer;
+        # a closing server lets these finish (see close()).
+        self._answering: set[asyncio.Task] = set()
+        self._closing = False
 
     async def start(self) -> "ServiceServer":
         self._server = await asyncio.start_server(
@@ -490,13 +494,17 @@ class ServiceServer:
         await asyncio.get_running_loop().create_future()
 
     async def close(self) -> None:
+        """Stop accepting; let each connection inside ``dispatch`` write
+        its answer (with ``Connection: close``); drop the others, which
+        hold no admitted request; then drain."""
+        self._closing = True
         if self._server is not None:
             self._server.close()  # stop accepting
-        # Idle keep-alive connections would otherwise linger until their
-        # read timeout; a closing server drops them.  Before waiting for
-        # the server: from Python 3.12.1 ``wait_closed`` waits for every
-        # open client connection.
-        for task in list(self._connections):
+        # Connections waiting for a request would otherwise linger until
+        # their read timeout; a closing server drops them.  Before waiting
+        # for the server: from Python 3.12.1 ``wait_closed`` waits for
+        # every open client connection.
+        for task in self._connections - self._answering:
             task.cancel()
         if self._connections:
             await asyncio.gather(*list(self._connections),
@@ -514,13 +522,12 @@ class ServiceServer:
             self._connections.add(task)
             task.add_done_callback(self._connections.discard)
         try:
-            while True:
-                keep_alive = await self._handle_one(reader, writer)
-                if not keep_alive:
+            while not self._closing:
+                if not await self._handle_one(reader, writer):
                     break
         except (asyncio.IncompleteReadError, ConnectionError,
                 asyncio.TimeoutError):
-            pass  # client went away / idle keep-alive expired
+            pass  # client went away / a read deadline expired
         except asyncio.CancelledError:
             pass  # server shutting down mid-keep-alive; drop the connection
         except Exception:
@@ -546,8 +553,11 @@ class ServiceServer:
 
     async def _handle_one(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> bool:
-        request_line = await asyncio.wait_for(reader.readline(),
-                                              self.read_timeout)
+        # One deadline for the wait for a request and one for the rest of
+        # it, not one per read: a client that trickles header lines cannot
+        # stretch the second.
+        async with asyncio.timeout(self.read_timeout):
+            request_line = await reader.readline()
         if not request_line:
             return False
         parts = request_line.decode("latin-1").strip().split()
@@ -557,68 +567,74 @@ class ServiceServer:
                                 {}, keep_alive=False)
             return False
         method, target, version = parts
+        try:
+            async with asyncio.timeout(self.read_timeout):
+                headers, body = await self._read_message(reader)
+        except ProtocolError as exc:
+            # The rest of the request stays unread, so the connection
+            # cannot be reused.
+            await self._respond(writer, exc.status, error_payload(exc.message),
+                                {}, keep_alive=False)
+            return False
 
+        path = target.split("?", 1)[0]
+        task = asyncio.current_task()
+        self._answering.add(task)
+        try:
+            # An incoming traceparent header continues the caller's trace
+            # (malformed headers degrade to None: a fresh trace, never an
+            # error) — the cross-process propagation hop.
+            status, payload, extra = await self.service.dispatch(
+                method, path, body,
+                trace_context=parse_traceparent(headers.get(TRACEPARENT_HEADER)))
+            keep_alive = (version == "HTTP/1.1"
+                          and headers.get("connection", "").lower() != "close"
+                          and not self._closing)
+            await self._respond(writer, status, payload, extra,
+                                keep_alive=keep_alive)
+        finally:
+            self._answering.discard(task)
+        return keep_alive
+
+    async def _read_message(self, reader: asyncio.StreamReader
+                            ) -> tuple[dict[str, str], bytes]:
+        """The header block and body after a request line; a request this
+        server will not frame raises :class:`ProtocolError`."""
         headers: dict[str, str] = {}
         received = 0
         while True:
-            line = await asyncio.wait_for(reader.readline(), self.read_timeout)
+            line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
             received += 1
             if received > MAX_HEADERS:
-                # The rest of the header block stays unread, so the
-                # connection cannot be reused.
-                await self._respond(writer, 431, error_payload(
-                    f"more than {MAX_HEADERS} request header lines"),
-                    {}, keep_alive=False)
-                return False
+                raise ProtocolError(
+                    f"more than {MAX_HEADERS} request header lines", status=431)
             name, _, value = line.decode("latin-1").partition(":")
             name, value = name.strip().lower(), value.strip()
             if name == "content-length" and headers.get(name, value) != value:
                 # Either length would leave bytes of the body to be read
                 # as the next request; read nothing further.
-                await self._respond(writer, 400, error_payload(
-                    "conflicting Content-Length headers"), {}, keep_alive=False)
-                return False
+                raise ProtocolError("conflicting Content-Length headers")
             headers[name] = value
         if "transfer-encoding" in headers:
             # Only Content-Length framing is read: an unread chunked body
             # would be parsed as the next request.
-            await self._respond(writer, 501, error_payload(
+            raise ProtocolError(
                 "Transfer-Encoding is not supported; send a Content-Length "
-                "body"), {}, keep_alive=False)
-            return False
-
+                "body", status=501)
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
             length = -1
         if length < 0:
-            await self._respond(writer, 400,
-                                error_payload("invalid Content-Length"),
-                                {}, keep_alive=False)
-            return False
+            raise ProtocolError("invalid Content-Length")
         if length > self.service.max_body:
-            # We will not read the oversized body, so the connection
-            # cannot be reused.
-            await self._respond(writer, 413, error_payload(
+            raise ProtocolError(
                 f"request body of {length} bytes exceeds the "
-                f"{self.service.max_body}-byte limit"), {}, keep_alive=False)
-            return False
-        body = await asyncio.wait_for(reader.readexactly(length),
-                                      self.read_timeout) if length else b""
-
-        path = target.split("?", 1)[0]
-        # An incoming traceparent header continues the caller's trace
-        # (malformed headers degrade to None: a fresh trace, never an
-        # error) — the cross-process propagation hop.
-        status, payload, extra = await self.service.dispatch(
-            method, path, body,
-            trace_context=parse_traceparent(headers.get(TRACEPARENT_HEADER)))
-        keep_alive = (version == "HTTP/1.1"
-                      and headers.get("connection", "").lower() != "close")
-        await self._respond(writer, status, payload, extra, keep_alive=keep_alive)
-        return keep_alive
+                f"{self.service.max_body}-byte limit", status=413)
+        body = await reader.readexactly(length) if length else b""
+        return headers, body
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        payload: dict | str, extra: dict, *,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import threading
 import time
 
 import pytest
@@ -588,5 +589,92 @@ def test_cancel_in_wait_closed_never_reaches_the_loop_exception_handler(
         finally:
             await server.close()
         assert reported == []
+
+    run(go())
+
+
+def test_close_answers_a_request_it_is_computing_then_hangs_up(monkeypatch):
+    # A request admitted before shutdown is computed to the end either
+    # way: closing delivers its answer (Connection: close) before EOF.
+    entered, release = threading.Event(), threading.Event()
+    run_one = MicroBatcher._run_one
+
+    def held(entry, request):
+        entered.set()
+        release.wait(30)
+        return run_one(entry, request)
+
+    monkeypatch.setattr(MicroBatcher, "_run_one", staticmethod(held))
+    spec = _spec(0)
+    profiles = _profiles(spec)
+    body = json.dumps({"scenario": spec.to_dict(), "mechanism": "jv",
+                       "profiles": [{str(a): u for a, u in p.items()}
+                                    for p in profiles]}).encode()
+
+    async def go():
+        server = await ServiceServer(CostSharingService(), port=0).start()
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        closing = None
+        try:
+            writer.write(b"POST /v1/run HTTP/1.1\r\nHost: t\r\n"
+                         b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+            await writer.drain()
+            assert await asyncio.to_thread(entered.wait, 10)
+            closing = asyncio.ensure_future(server.close())
+            await asyncio.sleep(0.1)  # close() has dropped what it drops
+            release.set()
+            raw = await asyncio.wait_for(reader.read(), 30)  # up to EOF
+            await closing
+            return raw
+        finally:
+            release.set()
+            writer.close()
+            if closing is not None:
+                await asyncio.gather(closing, return_exceptions=True)
+
+    raw = run(go())
+    head, _, rest = raw.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    assert status_line == "HTTP/1.1 200 OK", raw[:80]
+    headers = {name.lower(): value
+               for name, value in (line.split(": ", 1) for line in lines)}
+    assert headers["connection"] == "close"
+    assert int(headers["content-length"]) == len(rest)  # then EOF
+    direct = [result_to_dict(r)
+              for r in MulticastSession(spec).run_batch("jv", profiles)]
+    assert json.loads(rest)["results"] == direct
+
+
+def test_trickled_header_lines_share_one_deadline():
+    # Each header line arrives well inside read_timeout, the header block
+    # as a whole does not: the server hangs up, silently, once it expires.
+    async def go():
+        server = await ServiceServer(CostSharingService(), port=0,
+                                     read_timeout=0.5).start()
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+
+        async def trickle():
+            try:
+                for i in range(20):
+                    writer.write(b"X-Trickle-%d: %d\r\n" % (i, i))
+                    await writer.drain()
+                    await asyncio.sleep(0.2)
+            except ConnectionError:
+                pass  # the server hung up
+
+        trickler = None
+        try:
+            writer.write(b"GET /v1/healthz HTTP/1.1\r\n")
+            await writer.drain()
+            t0 = time.perf_counter()
+            trickler = asyncio.ensure_future(trickle())
+            assert await asyncio.wait_for(reader.read(), 1.0) == b""
+            assert time.perf_counter() - t0 < 1.0
+        finally:
+            if trickler is not None:
+                trickler.cancel()
+                await asyncio.gather(trickler, return_exceptions=True)
+            writer.close()
+            await server.close()
 
     run(go())
