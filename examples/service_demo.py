@@ -10,8 +10,8 @@ The whole `repro.service` loop without opening a socket:
    sessions;
 3. verify every response is bit-identical to a direct cold
    MulticastSession run (the serving machinery may only change speed);
-4. show the observability surface: store hits/misses/evictions/
-   coalescing, batcher flushes, per-status HTTP counters, and the
+4. show the observability surface: store hits/misses/evictions,
+   batcher flushes, per-status HTTP counters, and the
    Prometheus-style metrics snapshot the registry accumulated
    (per-stage latency means, flush occupancy) — the same families
    ``GET /metrics`` serves over the wire.
@@ -100,7 +100,7 @@ def main() -> None:
     store, batcher = stats["store"], stats["batcher"]
     print(
         f"store: {store['hits']} hits, {store['misses']} misses, "
-        f"{store['coalesced']} coalesced, {store['evictions']} evictions "
+        f"{store['evictions']} evictions "
         f"(capacity {store['capacity']})"
     )
     print(

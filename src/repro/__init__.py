@@ -32,9 +32,9 @@ Layering (each layer only depends on the ones above it):
   families x mechanisms (x churn epochs), the process-parallel executor,
   and the resumable JSONL result store (the fleet entry path);
 * :mod:`repro.service` — the concurrent serving layer: a bounded LRU
-  session store with single-flight request coalescing, a micro-batcher
-  executing in-flight requests per scenario on shared caches, and the
-  asyncio HTTP/JSON endpoint with explicit 429 backpressure (the
+  session store, a micro-batcher executing in-flight requests per
+  scenario on shared caches (one flush, so one cold build, per key),
+  and the asyncio HTTP/JSON endpoint with explicit 429 backpressure (the
   online entry path — ``python -m repro serve`` / ``loadgen``);
 * :mod:`repro.observability` — the telemetry layer beside all of the
   above: a thread-safe stdlib metrics registry (counters/gauges/

@@ -48,12 +48,12 @@ Three modes:
   the way Ctrl-C does: the server drains, and a fleet router terminates
   its workers.  Any later SIGTERM is ignored while that shutdown runs.
 
-* **Sharded fleets** (``fleet`` / ``serve --workers N``): the same wire
-  protocol served by a consistent-hash router over N shared-nothing
-  worker processes, with per-shard ``/metrics`` labels, ``/v1/fleet``
-  add/drain admin endpoints and graceful rehash on resize; ``loadgen
-  --keys K --zipf S`` generates the fleet-shaped skewed workload and
-  ``--expect-shards N`` turns the per-shard report into a CI gate::
+* **Sharded fleets** (``fleet``): the same wire protocol served by a
+  consistent-hash router over N shared-nothing worker processes, with
+  per-shard ``/metrics`` labels, ``/v1/fleet`` add/drain admin
+  endpoints and graceful rehash on resize; ``loadgen --keys K --zipf
+  S`` generates the fleet-shaped skewed workload and ``--expect-shards
+  N`` turns the per-shard report into a CI gate::
 
       python -m repro fleet --port 8123 --workers 4
       python -m repro loadgen --port 8123 --requests 200 --keys 12 \\
@@ -488,36 +488,21 @@ def serve_command(argv: list[str]) -> int:
                              "ones are answered 429 + Retry-After")
     parser.add_argument("--request-log", default=None, metavar="PATH",
                         help="append one JSON line per priced request "
-                             "('-' = stderr); with --workers > 1, a "
-                             "directory holding one log per shard")
+                             "('-' = stderr)")
     parser.add_argument("--span-log", default=None, metavar="PATH",
                         help="record request spans as JSON lines here "
-                             "('-' = stderr); with --workers > 1, a "
-                             "directory holding one span log per shard "
-                             "plus the router's — read them back with "
+                             "('-' = stderr) — read them back with "
                              "`python -m repro spans report`")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="run a sharded fleet of this many worker "
-                             "processes behind a consistent-hash router "
-                             "(default 1 = single process, this process)")
     parser.add_argument("--shard", default=None, metavar="ID",
                         help="shard identity label, surfaced in /v1/healthz "
                              "and /v1/stats (set by the fleet supervisor)")
     args = parser.parse_args(argv)
 
-    if args.workers > 1:
-        return _serve_fleet(args)
-    if args.workers < 1:
-        print(f"error: need --workers >= 1, got {args.workers}",
-              file=sys.stderr)
-        return 2
-
     from repro.observability import RequestLogger, SpanRecorder
 
     request_log = (RequestLogger.open(args.request_log)
                    if args.request_log else None)
-    span_log = (SpanRecorder.open(args.span_log)
-                if getattr(args, "span_log", None) else None)
+    span_log = SpanRecorder.open(args.span_log) if args.span_log else None
     try:
         service = CostSharingService(
             cache_size=args.cache_size, queue_limit=args.queue_limit,
@@ -546,52 +531,13 @@ def serve_command(argv: list[str]) -> int:
     return 0
 
 
-def _serve_fleet(args) -> int:
-    """``serve --workers N`` / ``fleet``: boot N shared-nothing worker
-    processes and serve the consistent-hash router over them."""
+def fleet_command(argv: list[str]) -> int:
+    """The ``fleet`` subcommand: ``serve``'s wire protocol over a sharded
+    worker fleet, with the ring knob exposed."""
     import asyncio
 
     from repro.service import Fleet
 
-    try:
-        fleet = Fleet(workers=args.workers, host=args.host,
-                      cache_size=args.cache_size, queue_limit=args.queue_limit,
-                      request_log_dir=getattr(args, "request_log", None),
-                      span_log_dir=getattr(args, "span_log", None),
-                      replicas=getattr(args, "replicas", None) or 64)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        router = fleet.start()
-    except (RuntimeError, OSError) as exc:
-        fleet.shutdown()
-        print(f"error: cannot start fleet: {exc}", file=sys.stderr)
-        return 2
-
-    def ready(server) -> None:
-        workers = router.live_workers()
-        print(f"fleet: {len(workers)} workers "
-              f"({', '.join(w.shard for w in workers)})", flush=True)
-        # Same machine-readable ready line as single-process serve.
-        print(f"serving on http://{args.host}:{server.port}", flush=True)
-
-    try:
-        asyncio.run(_serve_until_stopped(router, args.host, args.port, ready))
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    except OSError as exc:
-        print(f"error: cannot bind {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
-    finally:
-        fleet.shutdown()
-    return 0
-
-
-def fleet_command(argv: list[str]) -> int:
-    """The ``fleet`` subcommand: explicit spelling of
-    ``serve --workers N`` with the ring knob exposed."""
     parser = argparse.ArgumentParser(
         prog="python -m repro fleet",
         description="Serve a sharded worker fleet behind a consistent-hash "
@@ -621,7 +567,39 @@ def fleet_command(argv: list[str]) -> int:
         print(f"error: need --workers >= 1, got {args.workers}",
               file=sys.stderr)
         return 2
-    return _serve_fleet(args)
+    try:
+        fleet = Fleet(workers=args.workers, host=args.host,
+                      cache_size=args.cache_size, queue_limit=args.queue_limit,
+                      request_log_dir=args.request_log,
+                      span_log_dir=args.span_log, replicas=args.replicas)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        router = fleet.start()
+    except (RuntimeError, OSError) as exc:
+        fleet.shutdown()
+        print(f"error: cannot start fleet: {exc}", file=sys.stderr)
+        return 2
+
+    def ready(server) -> None:
+        workers = router.live_workers()
+        print(f"fleet: {len(workers)} workers "
+              f"({', '.join(w.shard for w in workers)})", flush=True)
+        # Same machine-readable ready line as single-process serve.
+        print(f"serving on http://{args.host}:{server.port}", flush=True)
+
+    try:
+        asyncio.run(_serve_until_stopped(router, args.host, args.port, ready))
+    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
+        pass
+    except OSError as exc:
+        print(f"error: cannot bind {args.host}:{args.port}: {exc}",
+              file=sys.stderr)
+        return 2
+    finally:
+        fleet.shutdown()
+    return 0
 
 
 def loadgen_command(argv: list[str]) -> int:
@@ -665,8 +643,8 @@ def loadgen_command(argv: list[str]) -> int:
                         help="Zipf skew exponent for --keys (0 = uniform)")
     parser.add_argument("--expect-engaged", action="store_true",
                         help="fail unless /v1/stats shows the warm paths "
-                             "engaged (cache hits or coalescing, and at "
-                             "least one multi-request batch)")
+                             "engaged (cache hits, and at least one "
+                             "multi-request batch)")
     parser.add_argument("--expect-shards", type=int, default=None,
                         metavar="N",
                         help="fail unless >= N distinct shards answered "
@@ -1041,7 +1019,7 @@ def metrics_dump_command(argv: list[str]) -> int:
         from repro.runner import SweepSpec, run_sweep
 
         try:
-            spec = SweepSpec.from_json(open(args.spec).read())
+            spec = SweepSpec.from_json(pathlib.Path(args.spec).read_text())
             rows = run_sweep(spec, workers=1)
         except (OSError, ValueError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -49,7 +49,7 @@ class MulticastSession:
     built artifact per key; the mechanism runs themselves execute outside
     the lock against read-only scenario state (the memoised ``xi`` caches
     carry their own lock — see :class:`~repro.engine.batch.MethodCache`).
-    The service layer's request coalescing (``repro.service.state``)
+    The service layer's micro-batcher (``repro.service.batching``)
     additionally ensures a cold session is *built* once, but a session
     reached by several threads stays correct without it — regression
     tested against the serial oracle in

@@ -11,7 +11,9 @@ into.  It is stdlib-only and deliberately small:
   (:meth:`MetricsRegistry.render`) and a matching
   :func:`parse_exposition` scraper; a process-wide
   :func:`default_registry` plus injectable instances, and a no-op
-  :class:`NullRegistry` for overhead baselines.
+  :class:`NullRegistry` for overhead baselines; and the
+  :class:`RequestStages` ledger, which times a priced request's stage
+  once into the stage histogram, its span and its log line.
 * :mod:`~repro.observability.logs` — :class:`RequestLogger` structured
   JSON request logs (one line per priced request) and
   :func:`scenario_hash` key digests.
@@ -35,6 +37,7 @@ from repro.observability.metrics import (
     MetricFamily,
     MetricsRegistry,
     NullRegistry,
+    RequestStages,
     default_registry,
     format_value,
     merge_expositions,
@@ -70,6 +73,7 @@ __all__ = [
     "NullRegistry",
     "NullSpanRecorder",
     "RequestLogger",
+    "RequestStages",
     "SPAN_ATTRIBUTE_KEYS",
     "Span",
     "SpanContext",

@@ -26,7 +26,7 @@ on the registry's single re-entrant ``lock``.  That is the atomicity
 contract the service counters rely on: a compound update taken under
 ``with registry.lock:`` (e.g. the session store bumping ``lookups`` and
 ``hits`` together) is indivisible with respect to ``snapshot()`` /
-``render()``, so invariants like ``hits + misses + coalesced == lookups``
+``render()``, so invariants like ``hits + misses == lookups``
 hold in *every* snapshot, not just quiescent ones.
 
 There is a process-wide :func:`default_registry` (what ``python -m repro
@@ -61,6 +61,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NullRegistry",
+    "RequestStages",
     "default_registry",
     "format_value",
     "merge_expositions",
@@ -425,6 +426,41 @@ def stage_histogram(registry: MetricsRegistry) -> MetricFamily:
         "Per-request latency by pipeline stage "
         "(parse/queue/build/execute/serialize)",
         labels=("stage",), buckets=DEFAULT_LATENCY_BUCKETS)
+
+
+class RequestStages:
+    """One priced request's stage ledger — the one channel its stage
+    timings travel through.
+
+    :meth:`record` writes a stage once into all three sinks: the
+    :func:`stage_histogram` family, a child span of ``context`` on the
+    ``spans`` recorder when the request is traced (``context`` is
+    ``None`` otherwise), and :attr:`seconds`, which the request log
+    renders as ``stages_ms``.  :meth:`fork` starts a ledger for the
+    same request span that already carries this one's stages: how an
+    envelope's ``parse``, recorded once, reaches each item's log line.
+    """
+
+    __slots__ = ("histogram", "spans", "context", "seconds")
+
+    def __init__(self, histogram: MetricFamily, spans=None, context=None,
+                 seconds: dict[str, float] | None = None) -> None:
+        self.histogram = histogram
+        self.spans = spans
+        self.context = context
+        self.seconds = {} if seconds is None else seconds
+
+    def record(self, name: str, seconds: float, *,
+               attributes: dict | None = None) -> None:
+        self.histogram.labels(stage=name).observe(seconds)
+        if self.context is not None:
+            self.spans.observe(name, duration=seconds, parent=self.context,
+                               attributes=attributes)
+        self.seconds[name] = seconds
+
+    def fork(self) -> "RequestStages":
+        return RequestStages(self.histogram, self.spans, self.context,
+                             dict(self.seconds))
 
 
 # -- the process-wide default registry ---------------------------------------

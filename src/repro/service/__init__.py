@@ -7,8 +7,7 @@ subsystem that serves pricing requests over long-lived warm state.
 * :class:`SessionStore` — a bounded LRU of
   :class:`~repro.api.MulticastSession`s (and
   :class:`~repro.dynamic.DynamicSession`s for churn scenarios) keyed by
-  the scenario's wire form, with single-flight coalescing of concurrent
-  cold builds (:mod:`repro.service.state`);
+  the scenario's wire form (:mod:`repro.service.state`);
 * :class:`MicroBatcher` — group commit per scenario: a request flushes
   at once unless its scenario's flush is running, and every request
   that arrived meanwhile rides that scenario's next flush on shared

@@ -19,12 +19,12 @@ response is bit-identical whether the request flushed alone, rode a
 batch, or bypassed the batcher entirely — property-tested in
 ``tests/test_service_property.py``.
 
-Telemetry: counters, the flush-occupancy histogram, and the
-``queue``/``build``/``execute`` legs of the per-request stage histogram
-all publish into the store's registry (the service injects one shared
-registry, so ``/metrics`` sees the whole pipeline).  ``submit_timed``
-returns the per-request stage timings alongside the results — the
-server's request log consumes them.
+Telemetry: counters and the flush-occupancy histogram publish into the
+store's registry (the service injects one shared registry, so
+``/metrics`` sees the whole pipeline).  Each request's
+:class:`~repro.observability.RequestStages` ledger records its
+``queue`` and ``execute`` stages; the flush-shared ``build`` is
+observed once per flush and copied into every request's ledger.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from concurrent.futures import Executor
 from repro.observability import (
     BATCH_OCCUPANCY_BUCKETS,
     NULL_SPAN_RECORDER,
+    RequestStages,
     stage_histogram,
 )
 from repro.observability.tracing import SpanContext
@@ -68,7 +69,7 @@ class MicroBatcher:
         # iteration; one that is both starts its next flush when the
         # running one completes.
         self._pending: dict[str, list[tuple[RunRequest, asyncio.Future, float,
-                                            SpanContext | None]]] = {}
+                                            RequestStages]]] = {}
         self._running: dict[str, asyncio.Task] = {}
         # -- telemetry (in the store's registry, one shared lock) -----------
         self.registry = store.registry
@@ -87,26 +88,21 @@ class MicroBatcher:
         self._h_stage = stage_histogram(self.registry)
 
     # -- submission ----------------------------------------------------------
-    async def submit(self, request: RunRequest) -> list:
+    async def submit(self, request: RunRequest,
+                     stages: RequestStages | None = None) -> list:
         """Price one request; resolves to its list of
-        :class:`~repro.mechanism.base.MechanismResult`."""
-        results, _ = await self.submit_timed(request)
-        return results
-
-    async def submit_timed(self, request: RunRequest,
-                           context: SpanContext | None = None
-                           ) -> tuple[list, dict]:
-        """Like :meth:`submit`, but resolves to ``(results, stages)``
-        where ``stages`` carries the request's queue/build/execute leg
-        timings in seconds.  ``context`` is the request span to parent
-        this request's queue/execute spans under (``None``: untraced)."""
+        :class:`~repro.mechanism.base.MechanismResult`.  ``stages`` is
+        the request's ledger: it records the ``queue`` and ``execute``
+        stages and gains the flush-shared ``build`` time.  Without one,
+        the stages still reach the stage histogram."""
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         key = request.key
         if key not in self._pending and key not in self._running:
             loop.call_soon(self._flush, key)
         self._pending.setdefault(key, []).append(
-            (request, future, time.perf_counter(), context))
+            (request, future, time.perf_counter(),
+             stages if stages is not None else RequestStages(self._h_stage)))
         self._c_requests.inc()
         return await future
 
@@ -143,12 +139,11 @@ class MicroBatcher:
 
     async def _execute_group(
             self,
-            group: list[tuple[RunRequest, asyncio.Future, float,
-                              SpanContext | None]],
+            group: list[tuple[RunRequest, asyncio.Future, float, RequestStages]],
             *, flush_context: SpanContext | None = None) -> None:
         loop = asyncio.get_running_loop()
-        requests = [(request, enqueued, context)
-                    for request, _, enqueued, context in group]
+        requests = [(request, enqueued, stages)
+                    for request, _, enqueued, stages in group]
         try:
             outcomes = await loop.run_in_executor(
                 self._executor, self._run_group, requests, flush_context)
@@ -165,19 +160,19 @@ class MicroBatcher:
             else:
                 future.set_result(outcome)
 
-    def _run_group(self, requests: list[tuple[RunRequest, float,
-                                              SpanContext | None]],
+    def _run_group(self, requests: list[tuple[RunRequest, float, RequestStages]],
                    flush_context: SpanContext | None = None) -> list:
         """Synchronous worker body: one store lookup for the whole group,
         then every request priced on the shared session.  Per-request
         failures (e.g. a profile naming stray agents) stay per-request —
         they must not poison the rest of the batch."""
         started = time.perf_counter()
-        first, first_context = requests[0][0], requests[0][2]
-        # The group-shared store lookup becomes one ``build`` span in the
-        # *first* request's trace (it is shared work — duplicating it
-        # into every trace would overcount the critical path); a cold
-        # miss nests its ``session_build`` span under this one.
+        first, first_context = requests[0][0], requests[0][2].context
+        # The group-shared store lookup is observed once per flush and
+        # becomes one ``build`` span in the *first* request's trace (it
+        # is shared work — duplicating it into every trace would
+        # overcount the critical path); a cold miss nests its
+        # ``session_build`` span under this one.
         build_span = (self.spans.span("build", parent=first_context)
                       if first_context is not None else None)
         entry = self.store.get(
@@ -193,31 +188,23 @@ class MicroBatcher:
                   "batch_size": len(requests)}
                  if flush_context is not None else {})
         outcomes: list = []
-        for request, enqueued, context in requests:
-            queue = max(0.0, started - enqueued)
-            self._h_stage.labels(stage="queue").observe(queue)
-            if context is not None:
-                self.spans.observe("queue", duration=queue, parent=context)
+        for request, enqueued, stages in requests:
+            stages.seconds["build"] = build
+            stages.record("queue", max(0.0, started - enqueued))
             t0 = time.perf_counter()
             try:
-                results = self._run_one(entry, request)
+                outcomes.append(self._run_one(entry, request))
             except Exception as exc:
-                if context is not None:
+                if stages.context is not None:
                     self.spans.observe(
                         "execute", duration=time.perf_counter() - t0,
-                        parent=context, status="error",
+                        parent=stages.context, status="error",
                         attributes={**flush,
                                     "error": f"{type(exc).__name__}: {exc}"})
                 outcomes.append(exc)
                 continue
-            execute = time.perf_counter() - t0
-            self._h_stage.labels(stage="execute").observe(execute)
-            if context is not None:
-                self.spans.observe(
-                    "execute", duration=execute, parent=context,
-                    attributes=flush)
-            outcomes.append((results, {
-                "queue": queue, "build": build, "execute": execute}))
+            stages.record("execute", time.perf_counter() - t0,
+                          attributes=flush)
         return outcomes
 
     @staticmethod

@@ -133,28 +133,28 @@ class WorkerClient:
                       ) -> tuple[int, dict[str, str], bytes]:
         """One round trip: ``(status, lowercase headers, body bytes)``.
         ``headers`` adds extra request headers (the router stamps the
-        span-context ``traceparent`` this way).  A stale keep-alive
-        connection (closed by the worker between requests) is retried
-        once on a fresh socket."""
-        while self._idle:
-            connection = self._idle.pop()
+        span-context ``traceparent`` this way).  A pooled keep-alive
+        connection the worker closed between requests is retried on the
+        next pooled one, then on a fresh socket.  Any other failure (a
+        timeout above all: the worker got the request) closes the
+        connection and raises, unretried."""
+        while True:
+            reused = bool(self._idle)
+            connection = (self._idle.pop() if reused else
+                          await asyncio.wait_for(
+                              asyncio.open_connection(self.host, self.port),
+                              self.timeout))
             try:
                 return await asyncio.wait_for(
                     self._roundtrip(connection, method, path, body, headers),
                     self.timeout)
-            except (ConnectionError, asyncio.IncompleteReadError, OSError):
+            except (ConnectionError, asyncio.IncompleteReadError):
                 self._close_connection(connection)
-                # Reused socket went stale; try the next idle one, then
-                # fall through to a fresh connection.
-        connection = await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port), self.timeout)
-        try:
-            return await asyncio.wait_for(
-                self._roundtrip(connection, method, path, body, headers),
-                self.timeout)
-        except BaseException:
-            self._close_connection(connection)
-            raise
+                if not reused:
+                    raise
+            except BaseException:
+                self._close_connection(connection)
+                raise
 
     async def _roundtrip(self, connection, method: str, path: str,
                          body: bytes, headers: dict[str, str] | None = None
@@ -648,8 +648,8 @@ class FleetRouter:
             "shards": {shard: (stats if stats is not None
                                else {"error": "unreachable"})
                        for shard, stats in sorted(shards.items())},
-            "store": agg("store", ("capacity", "size", "building", "lookups",
-                                   "hits", "misses", "evictions", "coalesced",
+            "store": agg("store", ("capacity", "size", "lookups", "hits",
+                                   "misses", "evictions",
                                    "substrate_sessions_built",
                                    "substrate_sessions_shared")),
             "batcher": agg("batcher", ("requests", "batches",

@@ -297,11 +297,11 @@ class LoadReport:
         if self.stats is not None:
             store, batcher = self.stats.get("store", {}), self.stats.get("batcher", {})
             out.append(
-                "stats: store hits={hits} misses={misses} evictions={evictions} "
-                "coalesced={coalesced}; batcher batches={batches} "
+                "stats: store hits={hits} misses={misses} evictions={evictions}; "
+                "batcher batches={batches} "
                 "requests={requests} max_batch={max_batch_size}".format(
-                    **{**{k: "?" for k in ("hits", "misses", "evictions",
-                                           "coalesced")}, **store},
+                    **{**{k: "?" for k in ("hits", "misses", "evictions")},
+                       **store},
                     **{**{k: "?" for k in ("batches", "requests",
                                            "max_batch_size")}, **batcher}))
         out.extend(self.shard_lines())
@@ -358,11 +358,10 @@ class LoadReport:
                     f"p95 {self._percentile(samples, 0.95) * 1e3:.1f}ms")
             store = shard_stats.get(shard, {}).get("store")
             if store:
-                lookups = store.get("lookups", 0)
-                warm = store.get("hits", 0) + store.get("coalesced", 0)
-                rate = warm / lookups * 100 if lookups else 0.0
+                lookups, hits = store.get("lookups", 0), store.get("hits", 0)
+                rate = hits / lookups * 100 if lookups else 0.0
                 line += (f", hit-rate {rate:.0f}% "
-                         f"({warm}/{lookups} lookups)")
+                         f"({hits}/{lookups} lookups)")
             out.append(line)
         return out
 
@@ -382,15 +381,13 @@ class LoadReport:
                           if count else f"{stage} -")
         lookups = sample_total(parsed, "repro_store_lookups_total")
         hits = sample_total(parsed, "repro_store_hits_total")
-        coalesced = sample_total(parsed, "repro_store_coalesced_total")
         flushes = sample_total(parsed, "repro_batch_occupancy_count")
         solo = sample_total(parsed, "repro_batch_occupancy_bucket", {"le": "1"})
-        hit_rate = ((hits + coalesced) / lookups * 100) if lookups else 0.0
+        hit_rate = (hits / lookups * 100) if lookups else 0.0
         return [
             "metrics: stage means " + " | ".join(stages),
             f"metrics: store hit-rate {hit_rate:.0f}% "
-            f"({int(hits)} hits + {int(coalesced)} coalesced "
-            f"/ {int(lookups)} lookups); "
+            f"({int(hits)} hits / {int(lookups)} lookups); "
             f"multi-request flushes {int(flushes - solo)}/{int(flushes)}",
         ]
 
@@ -410,7 +407,7 @@ class LoadReport:
         """CI verdicts: every request answered 200; optionally the warm
         machinery must have engaged; against a fleet, optionally at
         least ``expect_shards`` shards answered and every one of them
-        served warm (hit or coalesced) lookups; on a trace replay,
+        served warm lookups (store hits); on a trace replay,
         optionally at least ``expect_groups`` groups priced with every
         observed group priced at every epoch."""
         failures = []
@@ -444,10 +441,10 @@ class LoadReport:
                 store = shard_stats.get(shard, {}).get("store")
                 if store is None:
                     continue  # drained mid-run: no final snapshot to judge
-                if store.get("hits", 0) + store.get("coalesced", 0) < 1:
+                if store.get("hits", 0) < 1:
                     failures.append(
                         f"shard {shard} never served a warm lookup "
-                        f"(hits + coalesced == 0)")
+                        f"(hits == 0)")
         non_200 = {code: count for code, count in self.statuses.items()
                    if code != 200}
         if non_200 or self.errors:
@@ -459,9 +456,9 @@ class LoadReport:
                 failures.append("no /v1/stats snapshot to verify engagement")
             else:
                 store = self.stats.get("store", {})
-                if store.get("hits", 0) + store.get("coalesced", 0) < 1:
+                if store.get("hits", 0) < 1:
                     failures.append(
-                        "session reuse never engaged (store hits + coalesced == 0)")
+                        "session reuse never engaged (store hits == 0)")
             # Batch engagement is judged from the scraped flush-occupancy
             # histogram — the server-side ground truth — with the stats
             # counter as fallback for servers without /metrics.

@@ -30,14 +30,19 @@ paths answer bit-identically — the property
 ``tests/test_service_property.py`` pins; telemetry only watches the
 pipeline, it never feeds back into response bytes.
 
+``/v1/run`` and ``/v1/batch`` share one pricing path; a run is the
+one-item batch, answered unwrapped.  Each priced item gets one
+:class:`~repro.observability.RequestStages` ledger, which times each of
+its stages (``parse``/``queue``/``build``/``execute``/``serialize``)
+once into the stage histogram, the request's spans and its log line.
+
 Each service owns one :class:`~repro.observability.MetricsRegistry`
 (injectable for tests) shared by its store, batcher and sessions, so
 ``GET /metrics`` exposes the full pipeline: per-stage latency
-histograms (``parse``/``queue``/``build``/``execute``/``serialize``),
-LRU hit/miss/eviction/coalesce counters, micro-batch occupancy, and
+histograms, LRU hit/miss/eviction counters, micro-batch occupancy, and
 HTTP status-code rates.  With a
 :class:`~repro.observability.RequestLogger` attached, every priced
-request also emits one structured JSON log line (request id, scenario
+item also emits one structured JSON log line (request id, scenario
 key hash, per-stage millisecond timings, status).
 """
 
@@ -51,6 +56,7 @@ from repro.observability import (
     NULL_SPAN_RECORDER,
     MetricsRegistry,
     RequestLogger,
+    RequestStages,
     parse_traceparent,
     scenario_hash,
     stage_histogram,
@@ -231,83 +237,65 @@ class CostSharingService:
                 return self._method_not_allowed("GET")
             return 200, self.registry.render(), {
                 "Content-Type": METRICS_CONTENT_TYPE}
-        context = span.context if span is not None else None
-        if path == "/v1/run":
+        if path in ("/v1/run", "/v1/batch"):
             if method != "POST":
                 return self._method_not_allowed("POST")
-            t0 = time.perf_counter()
-            request = parse_run_request(parse_body(body))
-            parse_s = time.perf_counter() - t0
-            self._h_stage.labels(stage="parse").observe(parse_s)
-            if context is not None:
-                self.spans.observe("parse", duration=parse_s, parent=context)
-                self._annotate_span(span, request)
-            async with self._admission(1):
-                results, stages = await self.batcher.submit_timed(
-                    request, context=context)
-            t1 = time.perf_counter()
-            payload = run_payload(request, results)
-            serialize_s = time.perf_counter() - t1
-            self._h_stage.labels(stage="serialize").observe(serialize_s)
-            if context is not None:
-                self.spans.observe("serialize", duration=serialize_s,
-                                   parent=context)
-            self._log_run(request, 200,
-                          {"parse": parse_s, **stages, "serialize": serialize_s},
-                          trace_id=span.trace_id if span is not None else None)
-            return 200, payload, {}
-        if path == "/v1/batch":
-            if method != "POST":
-                return self._method_not_allowed("POST")
-            t0 = time.perf_counter()
-            requests = parse_batch_request(
-                parse_body(body), max_requests=self.max_batch_requests)
-            parse_s = time.perf_counter() - t0
-            self._h_stage.labels(stage="parse").observe(parse_s)
-            if context is not None:
-                self.spans.observe("parse", duration=parse_s, parent=context)
-            async with self._admission(len(requests)):
-                outcomes = await asyncio.gather(
-                    *(self.batcher.submit_timed(r, context=context)
-                      for r in requests),
-                    return_exceptions=True)
-            # A server fault answers the whole batch 500: raise it before
-            # any item is serialized or logged as served.
-            for outcome in outcomes:
-                if (isinstance(outcome, BaseException)
-                        and not isinstance(outcome, _CLIENT_ERRORS)):
-                    raise outcome
-            entries = []
-            trace_id = span.trace_id if span is not None else None
-            serialize_total = 0.0
-            for index, (request, outcome) in enumerate(zip(requests, outcomes)):
-                if isinstance(outcome, BaseException):
-                    message = getattr(outcome, "message", None) or str(outcome)
-                    entries.append({"status": 400, "body": error_payload(message)})
-                    self._log_run(request, 400, {"parse": parse_s},
-                                  batch_index=index, error=message,
-                                  trace_id=trace_id)
-                else:
-                    results, stages = outcome
-                    t1 = time.perf_counter()
-                    entry = {"status": 200, "body": run_payload(request, results)}
-                    serialize_s = time.perf_counter() - t1
-                    serialize_total += serialize_s
-                    self._h_stage.labels(stage="serialize").observe(serialize_s)
-                    entries.append(entry)
-                    self._log_run(request, 200,
-                                  {"parse": parse_s, **stages,
-                                   "serialize": serialize_s}, batch_index=index,
-                                  trace_id=trace_id)
-            if context is not None:
-                self.spans.observe("serialize", duration=serialize_total,
-                                   parent=context)
-            payload = {"schema": PROTOCOL_SCHEMA, "count": len(entries),
-                       "responses": entries}
-            return 200, payload, {}
+            return 200, await self._price(body, span,
+                                          batch=path == "/v1/batch"), {}
         return 404, error_payload(
             f"no such endpoint {path!r} (try /v1/run, /v1/batch, "
             "/v1/healthz, /v1/stats, /metrics)"), {}
+
+    async def _price(self, body: bytes, span, *, batch: bool) -> dict:
+        """The one pricing path: parse, admit, submit each item, then
+        serialize and log each item.  ``/v1/run`` is the one-item case:
+        its item's error propagates to :meth:`dispatch` and its payload
+        is the item's body; a batch answers a client error per item."""
+        t0 = time.perf_counter()
+        data = parse_body(body)
+        requests = (parse_batch_request(data, max_requests=self.max_batch_requests)
+                    if batch else [parse_run_request(data)])
+        parse_s = time.perf_counter() - t0
+        envelope = RequestStages(self._h_stage, self.spans,
+                                 span.context if span is not None else None)
+        envelope.record("parse", parse_s)
+        if span is not None and not batch:
+            self._annotate_span(span, requests[0])
+        ledgers = [envelope.fork() for _ in requests]
+        async with self._admission(len(requests)):
+            if batch:
+                outcomes = await asyncio.gather(
+                    *(self.batcher.submit(request, stages)
+                      for request, stages in zip(requests, ledgers)),
+                    return_exceptions=True)
+            else:
+                outcomes = [await self.batcher.submit(requests[0], ledgers[0])]
+        # A server fault answers the whole batch 500: raise it before
+        # any item is serialized or logged as served.
+        for outcome in outcomes:
+            if (isinstance(outcome, BaseException)
+                    and not isinstance(outcome, _CLIENT_ERRORS)):
+                raise outcome
+        trace_id = span.trace_id if span is not None else None
+        entries = []
+        for index, (request, stages, outcome) in enumerate(
+                zip(requests, ledgers, outcomes)):
+            position = {"batch_index": index} if batch else {}
+            if isinstance(outcome, BaseException):
+                message = getattr(outcome, "message", None) or str(outcome)
+                entries.append({"status": 400, "body": error_payload(message)})
+                self._log_run(request, 400, {"parse": parse_s},
+                              trace_id=trace_id, error=message, **position)
+                continue
+            t1 = time.perf_counter()
+            entries.append({"status": 200, "body": run_payload(request, outcome)})
+            stages.record("serialize", time.perf_counter() - t1)
+            self._log_run(request, 200, stages.seconds, trace_id=trace_id,
+                          **position)
+        if not batch:
+            return entries[0]["body"]
+        return {"schema": PROTOCOL_SCHEMA, "count": len(entries),
+                "responses": entries}
 
     def _method_not_allowed(self, allowed: str) -> tuple[int, dict, dict]:
         return 405, error_payload(f"method not allowed (use {allowed})"), {

@@ -1,4 +1,4 @@
-"""Bounded LRU session store with single-flight request coalescing.
+"""Bounded LRU session store: the serving layer's warm state.
 
 The serving layer's warm state is the session: a
 :class:`~repro.api.session.MulticastSession` (or a
@@ -11,13 +11,12 @@ land on the same warm state.
 
 Two properties matter under concurrency:
 
-* **single-flight coalescing** — when several requests race on the same
-  *cold* scenario, exactly one thread builds the session; the others
-  block on the in-flight build's future and share its result (or its
-  exception — after which the key is clean and the next request
-  retries).  Cold builds are the expensive path; building the same
-  network/trees/closure N times for N concurrent requests is the failure
-  mode this prevents.
+* **one build per cold key** — the store's one serving caller, the
+  :class:`~repro.service.batching.MicroBatcher`, runs at most one flush
+  per store key and makes one lookup per flush, so lookups of one key
+  never overlap and a cold scenario is built exactly once however many
+  requests race on it.  The store itself does not join concurrent
+  lookups: two callers that race on one cold key each build.
 * **eviction is safe mid-flight** — evicting a key only drops the
   store's *reference*.  A session handed out earlier stays fully usable
   (it is a self-contained cache of pure functions); the next request for
@@ -26,21 +25,19 @@ Two properties matter under concurrency:
 Counters live in a :class:`~repro.observability.metrics.MetricsRegistry`
 (each store defaults to a private one, so per-store stats stay isolated;
 the service injects its own so ``/metrics`` sees them).  Every lookup
-outcome — hit, miss, coalesced — is recorded *at claim time* in one
-atomic compound update under the registry lock, which is what makes
-``hits + misses + coalesced == lookups`` hold in every concurrent
-snapshot, not just quiescent ones.
+outcome — hit or miss — is recorded in one atomic compound update under
+the registry lock, which is what makes ``hits + misses == lookups`` hold
+in every concurrent snapshot, not just quiescent ones.
 
-``capacity=0`` disables retention entirely (every request builds cold,
-coalescing still applies while builds are in flight) — the configuration
-the naive baseline in ``benchmarks/bench_service.py`` serves from.
+``capacity=0`` disables retention entirely (every request builds cold)
+— the configuration the naive baseline in ``benchmarks/bench_service.py``
+serves from.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future
 
 from repro.api.session import MulticastSession
 from repro.api.spec import ScenarioSpec
@@ -93,8 +90,8 @@ class StoreEntry:
 
 
 class SessionStore:
-    """Thread-safe bounded LRU of scenario sessions with single-flight
-    builds and atomic hit/miss/eviction/coalescing counters."""
+    """Thread-safe bounded LRU of scenario sessions with atomic
+    hit/miss/eviction counters."""
 
     def __init__(self, capacity: int = 64, *,
                  registry: MetricsRegistry | None = None,
@@ -109,7 +106,6 @@ class SessionStore:
         self.spans = spans if spans is not None else NULL_SPAN_RECORDER
         self._lock = threading.Lock()
         self._entries: OrderedDict[str, StoreEntry] = OrderedDict()
-        self._building: dict[str, Future] = {}
         # Sessions only publish telemetry when the registry was injected
         # (monkeypatched builders in tests stay single-argument-callable,
         # and a bare SessionStore() never touches the process default).
@@ -117,36 +113,34 @@ class SessionStore:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._c_lookups = self.registry.counter(
             "repro_store_lookups_total",
-            "Session-store lookups (hits + misses + coalesced)")
+            "Session-store lookups (hits + misses)")
         self._c_hits = self.registry.counter(
             "repro_store_hits_total", "Lookups answered from the warm LRU")
         self._c_misses = self.registry.counter(
             "repro_store_misses_total", "Lookups that claimed a cold build")
         self._c_evictions = self.registry.counter(
             "repro_store_evictions_total", "Sessions dropped by LRU pressure")
-        self._c_coalesced = self.registry.counter(
-            "repro_store_coalesced_total",
-            "Lookups that joined an in-flight build (single-flight)")
         self._g_size = self.registry.gauge(
             "repro_store_size", "Sessions currently retained")
         self.registry.gauge(
             "repro_store_capacity", "Session-store LRU capacity").set(capacity)
 
-    def _record(self, outcome, extra=None) -> None:
-        """One atomic compound counter update: lookups plus its outcome
-        (and optionally more) move together or not at all."""
+    def _record(self, outcome) -> None:
+        """One atomic compound counter update: lookups and its outcome
+        move together or not at all."""
         with self.registry.lock:
             self._c_lookups.inc()
             outcome.inc()
-            if extra is not None:
-                extra()
 
     def get(self, spec: ScenarioSpec, *, key: str | None = None,
             span_context=None) -> StoreEntry:
-        """The entry for ``spec`` — warm from the LRU, joined onto an
-        in-flight build, or built here (exactly one builder per key).
+        """The entry for ``spec``: warm from the LRU, or built here.
         ``span_context`` parents the cold path's ``session_build`` span
-        (hits and coalesced joins record nothing: they are cheap)."""
+        (hits record nothing: they are cheap).
+
+        One caller per key at a time: lookups of one key must not
+        overlap (the micro-batcher's one flush per key guarantees it),
+        or each overlapping cold lookup builds its own session."""
         if key is None:
             key = scenario_key(spec)
         with self._lock:
@@ -155,22 +149,7 @@ class SessionStore:
                 self._entries.move_to_end(key)
                 self._record(self._c_hits)
                 return entry
-            future = self._building.get(key)
-            if future is not None:
-                # Single-flight: join the in-flight build instead of
-                # duplicating it.
-                self._record(self._c_coalesced)
-                owner = False
-            else:
-                future = Future()
-                self._building[key] = future
-                owner = True
-                # The miss is counted when the build slot is *claimed*,
-                # not when the build finishes — so lookups always equals
-                # hits+misses+coalesced, even while builds are in flight.
-                self._record(self._c_misses)
-        if not owner:
-            return future.result()
+            self._record(self._c_misses)
         build_span = self.spans.span(
             "session_build", parent=span_context,
             attributes={"scenario": scenario_hash(key)})
@@ -183,9 +162,6 @@ class SessionStore:
         except BaseException as exc:
             build_span.set("error", f"{type(exc).__name__}: {exc}")
             build_span.finish(status="error")
-            with self._lock:
-                self._building.pop(key, None)
-            future.set_exception(exc)
             raise
         build_span.finish()
         with self._lock:
@@ -196,12 +172,10 @@ class SessionStore:
                     self._entries.popitem(last=False)
                     evicted += 1
             size = len(self._entries)
-            self._building.pop(key, None)
             with self.registry.lock:
                 if evicted:
                     self._c_evictions.inc(evicted)
                 self._g_size.set(size)
-        future.set_result(entry)
         return entry
 
     # -- inspection / management --------------------------------------------
@@ -227,24 +201,21 @@ class SessionStore:
 
     def stats(self) -> dict:
         """Counter snapshot — one atomic read under the registry lock, so
-        ``hits + misses + coalesced == lookups`` in every snapshot."""
+        ``hits + misses == lookups`` in every snapshot."""
         with self._lock:
             size = len(self._entries)
-            building = len(self._building)
             with self.registry.lock:
                 return {
                     "capacity": self.capacity,
                     "size": size,
-                    "building": building,
                     "lookups": int(self._c_lookups.value),
                     "hits": int(self._c_hits.value),
                     "misses": int(self._c_misses.value),
                     "evictions": int(self._c_evictions.value),
-                    "coalesced": int(self._c_coalesced.value),
                 }
 
     def __repr__(self) -> str:
         s = self.stats()
         return (f"SessionStore(size={s['size']}/{s['capacity']}, "
                 f"hits={s['hits']}, misses={s['misses']}, "
-                f"evictions={s['evictions']}, coalesced={s['coalesced']})")
+                f"evictions={s['evictions']})")

@@ -5,6 +5,7 @@ well-formed report with a failing verdict — never a crash."""
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
@@ -54,10 +55,29 @@ class TestReportStatsOnEmpty:
         assert any("all-200" in f for f in failures)
 
 
+def _hold_first_execution_until_a_429(service) -> None:
+    """Hold the first admitted execution on its worker thread until the
+    service has answered a 429, so the queue limit bites however the
+    load generator's requests interleave."""
+    run_one, held = service.batcher._run_one, []
+
+    def gated(entry, request):
+        if not held:
+            held.append(request)
+            deadline = time.monotonic() + 10.0
+            while (service._c_rejected.value < 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+        return run_one(entry, request)
+
+    service.batcher._run_one = gated
+
+
 def test_429_backpressure_is_retried_to_success():
     # queue_limit=1 with concurrent workers forces admission rejections;
     # the bounded retry loop must turn them into eventual 200s.
     with ServerThread(queue_limit=1, retry_after=0.02) as server:
+        _hold_first_execution_until_a_429(server.service)
         report = run_loadgen(host="127.0.0.1", port=server.port, requests=12,
                              concurrency=4, n=6, alpha=2.0, side=5.0,
                              seeds=[0], layouts=["uniform"],
@@ -72,6 +92,7 @@ def test_429_backpressure_is_retried_to_success():
 
 def test_retry_limit_zero_surfaces_the_429s():
     with ServerThread(queue_limit=1, retry_after=0.02) as server:
+        _hold_first_execution_until_a_429(server.service)
         report = run_loadgen(host="127.0.0.1", port=server.port, requests=12,
                              concurrency=4, n=6, alpha=2.0, side=5.0,
                              seeds=[0], layouts=["uniform"],

@@ -6,8 +6,8 @@ payload carries an atomic registry snapshot next to the (pinned) legacy
 counters, responses stay bit-identical to direct sessions with the
 instrumentation on, request logs are one parseable JSON line per priced
 request, and the store's compound counters never tear under
-concurrency — ``hits + misses + coalesced == lookups`` in *every*
-snapshot, which is the bug this PR's registry-lock rework fixes.
+concurrency — ``hits + misses == lookups`` in *every* snapshot, which
+the registry lock guarantees.
 """
 
 from __future__ import annotations
@@ -18,10 +18,13 @@ import json
 import threading
 import time
 
+import pytest
+
 from repro.api import MulticastSession, ScenarioSpec, result_to_dict
 from repro.observability import (
     MetricsRegistry,
     RequestLogger,
+    SpanRecorder,
     parse_exposition,
     sample_total,
     scenario_hash,
@@ -166,12 +169,12 @@ def test_stats_carries_registry_snapshot_next_to_pinned_legacy_keys():
     # Legacy shape unchanged; "metrics" and "spans" added.
     assert set(stats) == {"schema", "store", "batcher", "http", "metrics",
                           "spans"}
-    assert set(stats["store"]) == {"capacity", "size", "building", "lookups",
-                                   "hits", "misses", "evictions", "coalesced",
+    assert set(stats["store"]) == {"capacity", "size", "lookups", "hits",
+                                   "misses", "evictions",
                                    "substrate_sessions_built",
                                    "substrate_sessions_shared"}
     store = stats["store"]
-    assert store["hits"] + store["misses"] + store["coalesced"] == store["lookups"]
+    assert store["hits"] + store["misses"] == store["lookups"]
     snapshot = stats["metrics"]
     assert json.loads(json.dumps(snapshot)) == snapshot
     # The snapshot agrees with the legacy counters it mirrors.
@@ -243,6 +246,56 @@ def test_request_log_emits_one_json_line_per_priced_request():
     assert first_line == json.dumps(ok, sort_keys=True, separators=(",", ":"))
 
 
+@pytest.mark.parametrize("path", ["/v1/run", "/v1/batch"])
+def test_each_item_stage_reaches_histogram_spans_and_log_alike(path):
+    """One stage ledger per priced item: its ``stages_ms`` match its
+    stage spans (to log rounding) and the stage histogram's increments.
+    The batch's three items share one flush, so ``parse`` (per
+    envelope) and ``build`` (per flush) are recorded once and copied
+    into every item; queue, execute and serialize are per item."""
+    spec = _spec(2)
+    stream, registry, spans = io.StringIO(), MetricsRegistry(), SpanRecorder()
+    service = CostSharingService(registry=registry, spans=spans,
+                                 request_log=RequestLogger(stream))
+    items = [{"scenario": spec.to_dict(), "mechanism": mechanism,
+              "profiles": [{str(a): 4.0 for a in spec.agents()}]}
+             for mechanism in ("jv", "tree-shapley", "tree-mc")]
+    payload = items[0] if path == "/v1/run" else {"requests": items}
+
+    status, _, _ = run(service.dispatch(
+        "POST", path, json.dumps(payload).encode("utf-8")))
+    assert status == 200
+    lines = [json.loads(line) for line in stream.getvalue().splitlines()]
+    assert len(lines) == (1 if path == "/v1/run" else 3)
+    stages = ("parse", "queue", "build", "execute", "serialize")
+    for line in lines:
+        assert set(line["stages_ms"]) == set(stages)
+
+    request, = spans.recent("request")
+    children: dict[str, list[float]] = {}
+    for span in spans.recent():
+        if span.parent_id == request.span_id:
+            children.setdefault(span.name, []).append(
+                round(span.duration * 1e3, 3))
+    assert set(children) == set(stages)
+    for name in ("queue", "execute", "serialize"):
+        assert children[name] == [line["stages_ms"][name] for line in lines]
+    assert children["parse"] == [lines[0]["stages_ms"]["parse"]]
+    # The flush's build span times the store lookup on its own clock.
+    assert len(children["build"]) == 1
+
+    histogram = {series["labels"]["stage"]: series for series in
+                 registry.snapshot()["repro_stage_seconds"]["series"]}
+    for name in stages:
+        shared = name in ("parse", "build")
+        if shared:
+            assert len({line["stages_ms"][name] for line in lines}) == 1
+        logged = [line["stages_ms"][name] for line in lines]
+        assert histogram[name]["count"] == (1 if shared else len(lines))
+        assert histogram[name]["sum"] * 1e3 == pytest.approx(
+            logged[0] if shared else sum(logged), abs=2e-3)
+
+
 # -- the concurrency bugfix ---------------------------------------------------
 def test_store_counters_never_tear_under_concurrent_lookups(monkeypatch):
     """The satellite bugfix: stats() snapshots are atomic, so the lookup
@@ -251,7 +304,7 @@ def test_store_counters_never_tear_under_concurrent_lookups(monkeypatch):
 
     class FakeSession:
         def __init__(self, spec):
-            time.sleep(0.001)  # widen the build window so lookups coalesce
+            time.sleep(0.001)  # widen the build window so lookups overlap
 
     monkeypatch.setattr(state, "build_session", lambda spec: FakeSession(spec))
     store = SessionStore(capacity=2)
@@ -262,8 +315,7 @@ def test_store_counters_never_tear_under_concurrent_lookups(monkeypatch):
     def reader() -> None:
         while not stop.is_set():
             snapshot = store.stats()
-            if (snapshot["hits"] + snapshot["misses"] + snapshot["coalesced"]
-                    != snapshot["lookups"]):
+            if snapshot["hits"] + snapshot["misses"] != snapshot["lookups"]:
                 torn.append(snapshot)
 
     def worker(offset: int) -> None:
@@ -284,7 +336,7 @@ def test_store_counters_never_tear_under_concurrent_lookups(monkeypatch):
     assert torn == []
     final = store.stats()
     assert final["lookups"] == 8 * 120
-    assert final["hits"] + final["misses"] + final["coalesced"] == 8 * 120
+    assert final["hits"] + final["misses"] == 8 * 120
     assert final["evictions"] >= 1  # capacity 2 over 4 keys did evict
 
 
@@ -297,8 +349,7 @@ def _crafted_metrics(*, solo_flushes: int, multi_flushes: int) -> str:
         stage.labels(stage=name).observe(0.004)
     store = registry.counter("repro_store_lookups_total")
     store.inc(10)
-    registry.counter("repro_store_hits_total").inc(6)
-    registry.counter("repro_store_coalesced_total").inc(2)
+    registry.counter("repro_store_hits_total").inc(8)
     occupancy = registry.histogram("repro_batch_occupancy",
                                    buckets=(1.0, 2.0, 4.0))
     for _ in range(solo_flushes):
@@ -321,13 +372,13 @@ def test_loadgen_metric_lines_summarize_the_scrape():
     # Mean of 2ms and 4ms observations is 3ms, for every stage.
     assert lines[0] == ("metrics: stage means parse 3.00ms | queue 3.00ms | "
                         "build 3.00ms | execute 3.00ms | serialize 3.00ms")
-    assert "hit-rate 80%" in lines[1]          # (6 hits + 2 coalesced) / 10
+    assert "hit-rate 80%" in lines[1]          # 8 hits / 10 lookups
     assert "multi-request flushes 1/3" in lines[1]
     assert report.lines()[-2:] == lines        # appended to the report
 
 
 def test_loadgen_judges_batch_engagement_from_the_scrape():
-    stats = {"store": {"hits": 6, "coalesced": 2},
+    stats = {"store": {"hits": 8},
              "batcher": {"max_batch_size": 1}}
     engaged = _report(_crafted_metrics(solo_flushes=2, multi_flushes=1), stats)
     assert engaged.batch_engaged() is True
@@ -336,14 +387,14 @@ def test_loadgen_judges_batch_engagement_from_the_scrape():
     # All-solo flushes: the scrape is the ground truth, even though the
     # stats fallback would be consulted only without a scrape.
     solo = _report(_crafted_metrics(solo_flushes=3, multi_flushes=0),
-                   {"store": {"hits": 6, "coalesced": 2},
+                   {"store": {"hits": 8},
                     "batcher": {"max_batch_size": 4}})
     assert solo.batch_engaged() is False
     failures = solo.check(expect_engaged=True)
     assert failures and "micro-batching never engaged" in failures[0]
 
     # No scrape at all: fall back to the stats counter.
-    unscraped = _report(None, {"store": {"hits": 6, "coalesced": 2},
+    unscraped = _report(None, {"store": {"hits": 8},
                                "batcher": {"max_batch_size": 4}})
     assert unscraped.batch_engaged() is None
     assert unscraped.metric_lines() == []

@@ -93,14 +93,14 @@ def test_loadgen_against_real_server_engages_the_warm_paths(capsys):
 def test_loadgen_report_checks():
     good = LoadReport(requests=2, concurrency=1, elapsed=0.1,
                       latencies=[0.01, 0.02], statuses={200: 2}, errors=[],
-                      stats={"store": {"hits": 1, "coalesced": 0},
+                      stats={"store": {"hits": 1},
                              "batcher": {"max_batch_size": 2}})
     assert good.check(expect_engaged=True) == []
     assert good.percentile(0.5) in (0.01, 0.02)
     assert good.throughput > 0
     bad = LoadReport(requests=2, concurrency=1, elapsed=0.1,
                      latencies=[0.01], statuses={200: 1, 429: 1}, errors=[],
-                     stats={"store": {"hits": 0, "coalesced": 0},
+                     stats={"store": {"hits": 0},
                             "batcher": {"max_batch_size": 1}})
     failures = bad.check(expect_engaged=True)
     assert len(failures) == 3  # non-200s + cold store + no batching

@@ -233,6 +233,96 @@ def test_unreachable_shard_answers_503():
     run(scenario())
 
 
+async def _fake_worker(*, close_after_answer: bool = False):
+    """A raw socket worker: answers ``GET`` with ``200 {}`` (closing the
+    connection afterwards if ``close_after_answer``, without saying so)
+    and never answers a ``POST``.  Returns ``(port, heads, stop)``:
+    the request heads received, per accepted connection, and a
+    coroutine that ends every handler once the client has closed."""
+    heads: list[list[bytes]] = []
+    release = asyncio.Event()
+    handlers: set[asyncio.Task] = set()
+
+    async def handle(reader, writer):
+        handlers.add(asyncio.current_task())
+        received: list[bytes] = []
+        heads.append(received)
+        try:
+            while True:
+                received.append(await reader.readuntil(b"\r\n\r\n"))
+                if received[-1].startswith(b"POST"):
+                    await release.wait()
+                    return
+                writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+                await writer.drain()
+                if close_after_answer:
+                    return
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass
+        finally:
+            writer.close()
+
+    server = await asyncio.start_server(handle, "127.0.0.1", 0)
+
+    async def stop() -> None:
+        release.set()
+        server.close()
+        await asyncio.wait_for(asyncio.gather(*handlers), 5.0)
+        await server.wait_closed()
+
+    return server.sockets[0].getsockname()[1], heads, stop
+
+
+def test_stale_pooled_connection_is_retried_on_a_fresh_one():
+    async def scenario():
+        port, heads, stop = await _fake_worker(close_after_answer=True)
+        client = WorkerClient("127.0.0.1", port, timeout=5.0)
+        try:
+            first, _, _ = await client.request("GET", "/v1/healthz")
+            assert len(client._idle) == 1  # pooled; the worker closed it
+            await asyncio.sleep(0.05)
+            second, _, body = await client.request("GET", "/v1/healthz")
+        finally:
+            client.close()
+            await stop()
+        return first, second, body, heads
+
+    first, second, body, heads = run(scenario())
+    assert first == second == 200 and body == b"{}"
+    # The stale connection answered nothing; a fresh one took the retry.
+    assert [len(received) for received in heads] == [1, 1]
+
+
+def test_timed_out_forward_is_not_retried_on_pooled_connections():
+    timeout = 0.3
+
+    async def scenario():
+        port, heads, stop = await _fake_worker()
+        router = FleetRouter()
+        client = WorkerClient("127.0.0.1", port, timeout=timeout)
+        router.attach(FleetWorker("w0", client))
+        try:
+            # Three concurrent answered GETs leave three pooled connections.
+            await asyncio.gather(*(client.request("GET", "/v1/healthz")
+                                   for _ in range(3)))
+            assert len(client._idle) == 3
+            started = time.perf_counter()
+            status, payload, _ = await router.dispatch(
+                "POST", "/v1/run", _bodies(1)[0])
+            elapsed = time.perf_counter() - started
+        finally:
+            client.close()
+            await stop()
+        posts = sum(head.startswith(b"POST")
+                    for received in heads for head in received)
+        return status, payload, elapsed, posts
+
+    status, payload, elapsed, posts = run(scenario())
+    assert status == 503 and "unreachable" in payload["error"]
+    assert posts == 1  # the worker got it once: a timeout is not resent
+    assert elapsed < 1.5 * timeout
+
+
 # -- aggregation -------------------------------------------------------------
 def test_stats_and_metrics_aggregate_across_shards():
     with fleet_router(3) as (router, services):

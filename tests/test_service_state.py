@@ -1,16 +1,15 @@
-"""SessionStore: LRU bounds, counters, single-flight coalescing."""
+"""SessionStore: LRU bounds, counters, one cold build per key."""
 
 from __future__ import annotations
 
+import asyncio
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.api import MulticastSession, ScenarioSpec, result_to_dict
 from repro.dynamic import ChurnSpec, DynamicScenarioSpec, DynamicSession
-from repro.service import SessionStore, scenario_key
+from repro.service import MicroBatcher, SessionStore, parse_run_request, scenario_key
 from repro.service import state as state_module
 
 
@@ -85,42 +84,47 @@ def test_eviction_mid_flight_keeps_handed_out_sessions_valid():
     assert rebuilt.session is not entry.session
 
 
-def test_single_flight_coalesces_concurrent_cold_builds(monkeypatch):
-    """N threads racing on one cold key => exactly one build; the rest
-    join the in-flight future and share its session object."""
+def test_one_flush_per_key_builds_a_cold_scenario_once(monkeypatch):
+    """Requests for one cold key that arrive while its build is held
+    never reach the store concurrently: the micro-batcher runs one
+    flush per key at a time, so they share the next flush's warm hit."""
     builds = []
-    gate = threading.Event()
+    entered, release = threading.Event(), threading.Event()
     real_build = state_module.build_session
 
-    def slow_build(spec):
+    def held_build(spec):
         builds.append(scenario_key(spec))
-        gate.wait(timeout=5.0)  # hold the build until every waiter queued
+        entered.set()
+        assert release.wait(timeout=10.0)
         return real_build(spec)
 
-    monkeypatch.setattr(state_module, "build_session", slow_build)
-    store = SessionStore(capacity=4)
+    monkeypatch.setattr(state_module, "build_session", held_build)
     spec = _spec(6)
-    n_threads = 6
-    arrived = threading.Barrier(n_threads)
+    requests = [parse_run_request({
+        "scenario": spec.to_dict(), "mechanism": "tree-shapley",
+        "profiles": [{str(a): float(u) for a in spec.agents()}]})
+        for u in range(1, 7)]
 
-    def fetch():
-        arrived.wait()
-        return store.get(spec)
+    async def go():
+        batcher = MicroBatcher(SessionStore(capacity=4))
+        first = asyncio.ensure_future(batcher.submit(requests[0]))
+        await asyncio.get_running_loop().run_in_executor(
+            None, entered.wait, 10.0)
+        rest = [asyncio.ensure_future(batcher.submit(r)) for r in requests[1:]]
+        await asyncio.sleep(0)
+        release.set()
+        outs = await asyncio.wait_for(asyncio.gather(first, *rest), 10.0)
+        return batcher, outs
 
-    with ThreadPoolExecutor(n_threads) as pool:
-        futures = [pool.submit(fetch) for _ in range(n_threads)]
-        # Open the gate once all waiters are parked on the in-flight build.
-        while store.stats()["coalesced"] < n_threads - 1:
-            if all(f.done() for f in futures):
-                break
-            time.sleep(0.005)
-        gate.set()
-        entries = [f.result(timeout=10.0) for f in futures]
-
-    assert len(builds) == 1  # the whole point: one cold build, not six
-    assert all(entry is entries[0] for entry in entries)
-    stats = store.stats()
-    assert stats["misses"] == 1 and stats["coalesced"] == n_threads - 1
+    batcher, outs = asyncio.run(go())
+    assert len(builds) == 1  # one cold build, not six
+    stats = batcher.store.stats()
+    assert stats["misses"] == 1 and stats["hits"] == 1
+    session = MulticastSession(spec)
+    for request, results in zip(requests, outs):
+        direct = session.run_batch(request.mechanism, list(request.profiles))
+        assert ([result_to_dict(r) for r in results]
+                == [result_to_dict(r) for r in direct])
 
 
 def test_failed_build_propagates_and_key_recovers(monkeypatch):
