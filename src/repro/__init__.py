@@ -10,7 +10,7 @@ Layering (each layer only depends on the ones above it):
 * :mod:`repro.engine` — array graph backends, vectorised kernels and the
   batched mechanism pipeline (the substrate half sits beside
   :mod:`repro.graphs`; :mod:`repro.engine.batch` sits above
-  :mod:`repro.core`);
+  :mod:`repro.mechanism`);
 * :mod:`repro.wireless` — the paper's wireless power model + exact oracles;
 * :mod:`repro.mechanism` — mechanism-design vocabulary and axiom auditors;
 * :mod:`repro.core` — the paper's mechanisms;

@@ -533,7 +533,7 @@ def serve_command(argv: list[str]) -> int:
 
 def fleet_command(argv: list[str]) -> int:
     """The ``fleet`` subcommand: ``serve``'s wire protocol over a sharded
-    worker fleet, with the ring knob exposed."""
+    worker fleet behind a consistent-hash router."""
     import asyncio
 
     from repro.service import Fleet
@@ -554,8 +554,6 @@ def fleet_command(argv: list[str]) -> int:
                         help="per-worker LRU session store capacity")
     parser.add_argument("--queue-limit", type=int, default=128,
                         help="per-worker admission limit (429 beyond it)")
-    parser.add_argument("--replicas", type=int, default=64,
-                        help="virtual nodes per shard on the hash ring")
     parser.add_argument("--request-log", default=None, metavar="DIR",
                         help="directory for per-shard JSON request logs")
     parser.add_argument("--span-log", default=None, metavar="DIR",
@@ -571,7 +569,7 @@ def fleet_command(argv: list[str]) -> int:
         fleet = Fleet(workers=args.workers, host=args.host,
                       cache_size=args.cache_size, queue_limit=args.queue_limit,
                       request_log_dir=args.request_log,
-                      span_log_dir=args.span_log, replicas=args.replicas)
+                      span_log_dir=args.span_log)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

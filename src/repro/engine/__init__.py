@@ -14,8 +14,9 @@ The engine has two halves:
   served tree (:func:`closure_mst`).
 
 * **pipeline** (:mod:`repro.engine.batch`, imported lazily because it
-  sits *above* :mod:`repro.core`): memoised batch evaluation of one
-  mechanism over many utility profiles / instances.
+  sits *above* :mod:`repro.mechanism`): the ``xi(R)`` memo and the
+  lockstep Moulin-Shenker driver behind
+  :meth:`repro.api.MulticastSession.run_batch`, plus the sweep helpers.
 
 Algorithm entry points in :mod:`repro.graphs` dispatch to the array
 kernels automatically when handed an array graph; ``CostGraph.as_dense()``
@@ -37,10 +38,8 @@ __all__ = [
     "CSRGraph",
     "DenseGraph",
     "GraphBackend",
-    "JVBatch",
     "MethodCache",
     "TreeIndex",
-    "UniversalTreeBatch",
     "as_array_backend",
     "batched_dijkstra",
     "closure_mst",
@@ -49,19 +48,18 @@ __all__ = [
     "moat_mst_weight",
     "moat_shares",
     "out_neighbors",
-    "run_profiles",
     "sweep_instances",
     "water_filling_shares",
 ]
 
-_BATCH_NAMES = {"JVBatch", "MethodCache", "UniversalTreeBatch", "run_profiles",
-                "sweep_instances"}
+_BATCH_NAMES = {"MethodCache", "sweep_instances"}
 
 
 def __getattr__(name: str):
-    # repro.engine.batch imports repro.core (it orchestrates mechanisms),
-    # while repro.core's building blocks import the engine substrate —
-    # loading batch lazily keeps that layering cycle-free.
+    # repro.engine.batch imports repro.mechanism (it drives
+    # Moulin-Shenker), whose modules import the graph layer built on the
+    # engine substrate — loading batch lazily keeps that layering
+    # cycle-free.
     if name in _BATCH_NAMES:
         from repro.engine import batch
 

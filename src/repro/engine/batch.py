@@ -5,29 +5,29 @@ profile at a time — it serves streams of scenarios over a slowly-changing
 network.  Everything that depends only on the *instance* (the universal
 tree, the metric closure, the cost-share values ``xi(R)`` of every
 receiver set the Moulin-Shenker iteration visits) is reusable across
-profiles; only the drop sequence is profile-specific.  This module
-memoises exactly those pieces:
+profiles; only the drop sequence is profile-specific.  This module holds
+the pieces that reuse it:
 
 * :class:`MethodCache` — a transparent memo for any cost-sharing method
   ``xi(R) -> shares``.  Receiver sets repeat heavily across profiles (the
   iteration always starts from the full set and descends), so hit rates
   climb quickly.
-* :func:`run_profiles` — Moulin-Shenker over a profile stream with a
-  shared method cache.
-* :class:`UniversalTreeBatch` / :class:`JVBatch` — the section 2.1 and
-  section 3.2 pipelines with the tree / closure built once.
+* :func:`run_profiles_lockstep` — Moulin-Shenker over a profile batch
+  with the cold ``xi`` sets of each round evaluated in one vectorised
+  call (the universal-tree mechanisms' ``run_many``).
+* :func:`group_consecutive` — partition a work stream by scenario key
+  (the sweep executor's scheduling unit).
 * :func:`sweep_instances` — evaluate a per-instance runner over an
   instance stream, collecting rows.
 
 Results are identical to per-call mechanism runs — the caches only avoid
 recomputing pure functions.
 
-:class:`repro.api.MulticastSession` is the serving entry built on these
-pieces: it binds a declarative scenario spec, shares one
+:meth:`repro.api.MulticastSession.run_batch` is the batch entry point
+built on these pieces: it binds a declarative scenario spec, shares one
 :class:`MethodCache` per registered mechanism, and additionally shares
 the scenario artifacts (universal trees, metric closure) *across*
-mechanisms.  The classes here remain the low-level, mechanism-shaped
-building blocks.
+mechanisms.
 """
 
 from __future__ import annotations
@@ -121,30 +121,6 @@ class MethodCache:
             self.misses = 0
 
 
-def run_profiles(
-    agents: Sequence[Agent],
-    method: Method,
-    profiles: Iterable[Profile],
-    *,
-    build: Callable[[frozenset], tuple[float, object | None]] | None = None,
-    cache: bool = True,
-) -> list[MechanismResult]:
-    """Run ``M(method)`` on every profile, sharing one method cache.
-
-    Pass an existing :class:`MethodCache` as ``method`` to share it across
-    calls (its statistics keep accumulating); with ``cache=False`` the
-    underlying method is called directly — unwrapping any
-    :class:`MethodCache` handed in — reproducing the naive per-profile
-    loop.
-    """
-    xi: Method
-    if cache:
-        xi = method if isinstance(method, MethodCache) else MethodCache(method)
-    else:
-        xi = method._method if isinstance(method, MethodCache) else method
-    return [moulin_shenker(agents, xi, profile, build=build) for profile in profiles]
-
-
 def run_profiles_lockstep(
     agents: Sequence[Agent],
     method_many: Callable[[list[frozenset]], list[dict[Agent, float]]],
@@ -198,56 +174,6 @@ def run_profiles_lockstep(
                 running[p] = False
     return [moulin_shenker(agents, method, profile, build=build)
             for profile in profiles]
-
-
-class UniversalTreeBatch:
-    """The section 2.1 pipeline over one network: tree built once, the
-    Shapley method memoised across every profile evaluated."""
-
-    def __init__(self, network, source: int = 0, *, kind: str = "spt") -> None:
-        from repro.core.universal_tree_mechanisms import universal_tree_shapley_shares
-        from repro.wireless.universal_tree import UniversalTree
-
-        self.network = network
-        self.source = source
-        self.tree = UniversalTree.build(network, source, kind)
-        self.agents = self.tree.agents()
-        self.shapley_method = MethodCache(
-            lambda R: universal_tree_shapley_shares(self.tree, R)
-        )
-
-    def _build(self, R: frozenset) -> tuple[float, object]:
-        power = self.tree.power_assignment(R)
-        return power.cost(), power
-
-    def shapley(self, profiles: Iterable[Profile]) -> list[MechanismResult]:
-        """Shapley-value mechanism over the profile stream."""
-        return run_profiles(self.agents, self.shapley_method, profiles,
-                            build=self._build)
-
-    def marginal_cost(self, profiles: Iterable[Profile]) -> list[MechanismResult]:
-        """Marginal-cost mechanism over the profile stream (the tree DP is
-        already per-profile; only the tree itself is shared)."""
-        from repro.core.universal_tree_mechanisms import UniversalTreeMCMechanism
-
-        mech = UniversalTreeMCMechanism(self.tree)
-        return [mech.run(profile) for profile in profiles]
-
-
-class JVBatch:
-    """The section 3.2 pipeline over one network: metric closure computed
-    once, the Jain-Vazirani moat shares memoised across profiles."""
-
-    def __init__(self, network, source: int = 0,
-                 agent_weights: Mapping[Agent, float] | None = None) -> None:
-        from repro.core.euclidean_bb import EuclideanJVMechanism
-
-        self.mechanism = EuclideanJVMechanism(network, source, agent_weights)
-        self.shares_method = MethodCache(self.mechanism.jv.shares)
-
-    def run(self, profiles: Iterable[Profile]) -> list[MechanismResult]:
-        return [self.mechanism.run(profile, method=self.shares_method)
-                for profile in profiles]
 
 
 def group_consecutive(

@@ -4,10 +4,8 @@ networks, power attenuation ``c(x, y) = dist(x, y) ** alpha``)."""
 from repro.geometry.layouts import LAYOUT_FAMILIES, layout_points
 from repro.geometry.points import (
     PointSet,
-    circle_points,
     clustered_points,
     grid_points,
-    line_points,
     pentagon_layout,
     uniform_points,
 )
@@ -15,11 +13,9 @@ from repro.geometry.points import (
 __all__ = [
     "LAYOUT_FAMILIES",
     "PointSet",
-    "circle_points",
     "clustered_points",
     "grid_points",
     "layout_points",
-    "line_points",
     "pentagon_layout",
     "uniform_points",
 ]

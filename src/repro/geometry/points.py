@@ -2,8 +2,8 @@
 
 :class:`PointSet` is a thin numpy wrapper giving vectorised pairwise
 distances; the module-level generators build the layouts used by the
-experiments (uniform cubes, lines for d=1, grids, circles, clusters, and the
-pentagon construction of the paper's Fig. 2).
+experiments (uniform cubes, grids, clusters, and the pentagon construction
+of the paper's Fig. 2).
 """
 
 from __future__ import annotations
@@ -77,28 +77,11 @@ def uniform_points(n: int, dim: int = 2, *, side: float = 10.0,
     return PointSet(rng.uniform(0.0, side, size=(n, dim)))
 
 
-def line_points(n: int, *, length: float = 10.0, jitter: bool = True,
-                rng: int | np.random.Generator | None = None) -> PointSet:
-    """``n`` points on a line (d = 1), sorted by coordinate."""
-    rng = as_rng(rng)
-    xs = rng.uniform(0.0, length, size=n) if jitter else np.linspace(0.0, length, n)
-    return PointSet(np.sort(xs)[:, None])
-
-
 def grid_points(rows: int, cols: int, *, spacing: float = 1.0) -> PointSet:
     """A regular ``rows x cols`` grid in the plane."""
     ys, xs = np.mgrid[0:rows, 0:cols]
     coords = np.stack([xs.ravel() * spacing, ys.ravel() * spacing], axis=1)
     return PointSet(coords.astype(float))
-
-
-def circle_points(n: int, *, radius: float = 1.0, center: tuple[float, float] = (0.0, 0.0),
-                  phase: float = 0.0) -> PointSet:
-    """``n`` points equally spaced on a circle (regular n-gon corners)."""
-    angles = phase + 2.0 * np.pi * np.arange(n) / n
-    coords = np.stack([center[0] + radius * np.cos(angles),
-                       center[1] + radius * np.sin(angles)], axis=1)
-    return PointSet(coords)
 
 
 def clustered_points(n_clusters: int, per_cluster: int, *, side: float = 10.0,

@@ -20,7 +20,7 @@ disjoint_set
 addressable_heap
     Binary heap with ``decrease`` (decrease-key) used by Dijkstra/Prim.
 traversal
-    BFS/DFS orders, parents, numbering, connected components.
+    BFS orders, parents, numbering, connected components.
 shortest_paths
     Edge-weighted Dijkstra (single-source / all-pairs) and path recovery.
 node_weighted
@@ -28,7 +28,7 @@ node_weighted
     excluding the source), the metric used by node-weighted Steiner.
 mst
     Kruskal (with a merge-event trace used by the Jain-Vazirani cost
-    shares), Prim and Boruvka minimum spanning trees.
+    shares) and Prim minimum spanning trees.
 steiner
     Metric closure, the Kou-Markowsky-Berman 2-approximate Steiner tree and
     the exact Dreyfus-Wagner dynamic program.
@@ -43,7 +43,7 @@ random_graphs
 from repro.graphs.adjacency import DiGraph, Graph
 from repro.graphs.addressable_heap import AddressableHeap
 from repro.graphs.disjoint_set import DisjointSet
-from repro.graphs.mst import MergeEvent, kruskal_complete, kruskal_mst, prim_mst
+from repro.graphs.mst import MergeEvent, kruskal_mst, prim_mst
 from repro.graphs.node_weighted import node_weighted_arc_matrix, node_weighted_dijkstra
 from repro.graphs.nwst import (
     GreedySpiderSolver,
@@ -80,7 +80,6 @@ __all__ = [
     "find_min_ratio_spider",
     "is_connected",
     "kmb_steiner_tree",
-    "kruskal_complete",
     "kruskal_mst",
     "metric_closure",
     "node_weighted_arc_matrix",

@@ -64,18 +64,6 @@ def node_weighted_dijkstra(
     return dist, parent
 
 
-def node_weighted_path_cost(weights: Mapping[Node, float], path: list[Node]) -> float:
-    """Cost of a concrete path under the source-excluded node metric."""
-    return sum(weights.get(x, 0.0) for x in path[1:])
-
-
-def all_sources_node_weighted(
-    graph: Graph, weights: Mapping[Node, float]
-) -> dict[Node, dict[Node, float]]:
-    """Node-weighted distances from every node (n Dijkstra runs)."""
-    return {u: node_weighted_dijkstra(graph, weights, u)[0] for u in graph.nodes()}
-
-
 def node_weighted_arc_matrix(graph: Graph, weights: Mapping[Node, float],
                              node_list: list[Node]):
     """The node-weighted metric as a dense arc-weight matrix over

@@ -117,12 +117,3 @@ def reconstruct_path(parent: dict[Node, Node | None], target: Node) -> list[Node
     path.reverse()
     return path
 
-
-def shortest_path(
-    graph: Graph | DiGraph | ArrayGraph, source: Node, target: Node
-) -> tuple[list[Node], float]:
-    """Convenience wrapper: one shortest path and its length."""
-    dist, parent = dijkstra(graph, source, targets=[target])
-    if target not in dist:
-        raise ValueError(f"no path from {source!r} to {target!r}")
-    return reconstruct_path(parent, target), dist[target]

@@ -1,4 +1,4 @@
-"""Graph traversals: BFS orders/parents/numbering, DFS, components.
+"""Graph traversals: BFS orders/parents/numbering, components.
 
 The BFS numbering is exactly what the Caragiannis et al. MEMT->NWST
 back-mapping (paper section 2.2.1) uses to orient an undirected Steiner tree
@@ -49,23 +49,6 @@ def bfs_numbering(graph: Graph | DiGraph, source: Node) -> dict[Node, int]:
     return {node: i for i, node in enumerate(bfs_order(graph, source))}
 
 
-def dfs_order(graph: Graph | DiGraph, source: Node) -> list[Node]:
-    """Nodes reachable from ``source`` in (iterative, preorder) DFS order."""
-    seen: set[Node] = set()
-    order: list[Node] = []
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        order.append(u)
-        neighbours = [v for v, _ in _out_neighbors(graph, u) if v not in seen]
-        # Reverse so that iteration order matches recursive DFS.
-        stack.extend(reversed(neighbours))
-    return order
-
-
 def connected_components(graph: Graph) -> list[set[Node]]:
     """Connected components of an undirected graph."""
     remaining = set(graph.nodes())
@@ -76,10 +59,6 @@ def connected_components(graph: Graph) -> list[set[Node]]:
         components.append(component)
         remaining -= component
     return components
-
-
-def weakly_connected_components(graph: DiGraph) -> list[set[Node]]:
-    return connected_components(graph.to_undirected())
 
 
 def is_connected(graph: Graph, nodes: Iterable[Node] | None = None) -> bool:

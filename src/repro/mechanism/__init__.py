@@ -16,7 +16,7 @@ from repro.mechanism.properties import (
     find_group_deviation,
     find_unilateral_deviation,
 )
-from repro.mechanism.shapley import shapley_sample, shapley_shares
+from repro.mechanism.shapley import shapley_shares
 from repro.mechanism.vcg import MarginalCostMechanism
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "find_group_deviation",
     "find_unilateral_deviation",
     "moulin_shenker",
-    "shapley_sample",
     "shapley_shares",
     "verify_core_allocation",
 ]

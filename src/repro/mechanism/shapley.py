@@ -6,8 +6,7 @@ orders.  For non-decreasing submodular ``C`` this method is cross-monotonic,
 so plugging it into the Moulin-Shenker driver yields a budget-balanced,
 group-strategyproof mechanism (section 1.1 of the paper).
 
-The exact computation enumerates ``2^{|R|-1}`` subsets per agent; the
-sampling estimator averages marginal costs over random permutations.
+The exact computation enumerates ``2^{|R|-1}`` subsets per agent.
 """
 
 from __future__ import annotations
@@ -15,10 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Sequence
-
-import numpy as np
-
-from repro.graphs.random_graphs import as_rng
 
 Agent = int
 SetCost = Callable[[frozenset], float]
@@ -52,37 +47,6 @@ def shapley_shares(subset: Sequence[Agent], cost_fn: SetCost) -> dict[Agent, flo
                 total += w * (C(Qs | {i}) - C(Qs))
         shares[i] = total
     return shares
-
-
-def shapley_sample(
-    subset: Sequence[Agent],
-    cost_fn: SetCost,
-    n_permutations: int = 500,
-    rng: int | np.random.Generator | None = None,
-) -> dict[Agent, float]:
-    """Permutation-sampling estimate of the Shapley shares (unbiased)."""
-    R = list(dict.fromkeys(subset))
-    if not R:
-        return {}
-    rng = as_rng(rng)
-    cache: dict[frozenset, float] = {}
-
-    def C(Q: frozenset) -> float:
-        if Q not in cache:
-            cache[Q] = float(cost_fn(Q))
-        return cache[Q]
-
-    acc = {i: 0.0 for i in R}
-    for _ in range(n_permutations):
-        order = [R[j] for j in rng.permutation(len(R))]
-        prefix: frozenset = frozenset()
-        c_prev = C(prefix)
-        for i in order:
-            prefix = prefix | {i}
-            c_new = C(prefix)
-            acc[i] += c_new - c_prev
-            c_prev = c_new
-    return {i: acc[i] / n_permutations for i in R}
 
 
 def shapley_method(cost_fn: SetCost) -> Callable[[frozenset], dict[Agent, float]]:

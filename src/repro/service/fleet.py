@@ -32,7 +32,10 @@ ring — only the key ranges adjacent to those nodes move (an expected
 Draining a shard removes it from the ring *first* (new requests reroute
 immediately), waits for the shard's in-flight requests to finish, then
 terminates the process — a mid-burst drain loses zero requests, which
-the CI ``fleet-smoke`` job asserts.
+the CI ``fleet-smoke`` job asserts.  The router's pooled keep-alive
+connections to a worker belong to the event loop that opened them, so
+they are closed on that loop: a drained shard's before its process is
+terminated, every shard's in :meth:`FleetRouter.drain`.
 
 Responses the router crafts itself (admin endpoints, ``503`` when a
 shard is unreachable) use the shared protocol error payloads; everything
@@ -69,7 +72,7 @@ from repro.service.protocol import (
     parse_batch_request,
     parse_body,
 )
-from repro.service.ring import DEFAULT_REPLICAS, HashRing
+from repro.service.ring import HashRing
 from repro.service.server import METRICS_CONTENT_TYPE, counter_total, status_counts
 
 READY_LINE = re.compile(r"serving on http://([^:\s]+):(\d+)")
@@ -120,12 +123,12 @@ class WorkerClient:
     """Minimal asyncio HTTP/1.1 client with keep-alive pooling — the
     router's side of the wire to one worker."""
 
-    def __init__(self, host: str, port: int, *, timeout: float = 300.0,
-                 pool_size: int = 16) -> None:
+    pool_size = 16  # idle keep-alive connections kept for reuse
+
+    def __init__(self, host: str, port: int, *, timeout: float = 300.0) -> None:
         self.host = host
         self.port = int(port)
         self.timeout = float(timeout)
-        self.pool_size = int(pool_size)
         self._idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
 
     async def request(self, method: str, path: str, body: bytes = b"", *,
@@ -204,15 +207,22 @@ class WorkerClient:
         except Exception:  # pragma: no cover - teardown best-effort
             pass
 
-    def close(self) -> None:
-        """Drop every pooled connection (safe from any thread)."""
-        while self._idle:
-            self._close_connection(self._idle.pop())
+    async def close(self) -> None:
+        """Close every pooled connection and wait until each is closed.
+        Await it on the loop that opened them: a stream writer cannot be
+        closed from another loop or thread."""
+        idle, self._idle = self._idle, []
+        for connection in idle:
+            self._close_connection(connection)
+        for _, writer in idle:
+            try:
+                await writer.wait_closed()
+            except OSError:
+                pass  # the worker reset it first; it is closed either way
 
 
 def spawn_worker(shard: str, *, host: str = "127.0.0.1",
-                 serve_args: tuple[str, ...] = (),
-                 startup_timeout: float = 120.0) -> tuple[subprocess.Popen, int]:
+                 serve_args: tuple[str, ...] = ()) -> tuple[subprocess.Popen, int]:
     """Start ``python -m repro serve --port 0 --shard <shard>`` and wait
     for its ready line; returns ``(process, bound_port)``.  The spawned
     worker inherits the environment plus this package's source root on
@@ -246,7 +256,7 @@ def spawn_worker(shard: str, *, host: str = "127.0.0.1",
     threading.Thread(target=pump, args=(process.stdout, ready),
                      daemon=True, name=f"repro-fleet-{shard}-stdout").start()
     try:
-        port = ready.get(timeout=startup_timeout)
+        port = ready.get(timeout=120.0)
     except queue.Empty:
         port = None
     if port is None:
@@ -288,8 +298,8 @@ class FleetWorker:
         await asyncio.wait_for(self._idle.wait(), timeout)
 
     def terminate(self, timeout: float = 10.0) -> None:
-        """Stop the worker process (blocking; run off the event loop)."""
-        self.client.close()
+        """Stop the worker process (blocking; run off the event loop).
+        The client's pool is not touched: close it on its own loop."""
         if self.process is None:
             return
         self.process.terminate()
@@ -315,17 +325,16 @@ class FleetRouter:
     process (priced responses are the worker's bytes).
     """
 
-    def __init__(self, *, replicas: int = DEFAULT_REPLICAS,
-                 max_body: int = 8 << 20, max_batch_requests: int = 64,
+    max_body = 8 << 20  # request-body bound ServiceServer enforces
+    drain_timeout = 120.0  # seconds a drain waits for in-flight forwards
+
+    def __init__(self, *, max_batch_requests: int = 64,
                  registry: MetricsRegistry | None = None,
-                 spawner=None, drain_timeout: float = 120.0,
-                 spans=None) -> None:
-        self.ring = HashRing(replicas=replicas)
+                 spawner=None, spans=None) -> None:
+        self.ring = HashRing()
         self.workers: dict[str, FleetWorker] = {}
-        self.max_body = int(max_body)
         self.max_batch_requests = int(max_batch_requests)
         self.spawner = spawner  # () -> FleetWorker, blocking; executor-run
-        self.drain_timeout = float(drain_timeout)
         self.registry = registry if registry is not None else MetricsRegistry()
         # Request-span recorder: the router opens the *root* span of a
         # priced request's trace and stamps its context onto every
@@ -373,12 +382,11 @@ class FleetRouter:
                 self.ring.remove(shard)
         raise ProtocolError("no live workers on the ring", status=503)
 
-    async def drain_worker(self, shard: str, *,
-                           timeout: float | None = None) -> dict:
+    async def drain_worker(self, shard: str) -> dict:
         """Gracefully remove ``shard``: stop routing to it, let its
-        in-flight requests finish, then terminate its process.  Zero
-        requests are lost — the fleet-smoke CI job asserts exactly this
-        mid-burst."""
+        in-flight requests finish, close its pooled connections, then
+        terminate its process.  Zero requests are lost — the fleet-smoke
+        CI job asserts exactly this mid-burst."""
         worker = self.workers.get(shard)
         if worker is None or worker.removed:
             raise ProtocolError(
@@ -392,8 +400,9 @@ class FleetRouter:
         if shard in self.ring:
             self.ring.remove(shard)
         self._g_workers.set(len(self.live_workers()))
-        await worker.wait_idle(self.drain_timeout if timeout is None else timeout)
+        await worker.wait_idle(self.drain_timeout)
         self.workers.pop(shard, None)
+        await worker.client.close()
         await asyncio.get_running_loop().run_in_executor(None, worker.terminate)
         return {"schema": PROTOCOL_SCHEMA, "drained": shard,
                 "workers": len(self.live_workers()),
@@ -697,7 +706,7 @@ class FleetRouter:
             # Closed here, while the loop still runs: from Python 3.12 a
             # worker's server waits for open client connections before it
             # exits, so a pool left open would stall its shutdown.
-            worker.client.close()
+            await worker.client.close()
 
 
 class Fleet:
@@ -711,11 +720,10 @@ class Fleet:
     """
 
     def __init__(self, workers: int = 2, *, host: str = "127.0.0.1",
-                 replicas: int = DEFAULT_REPLICAS, cache_size: int = 64,
-                 queue_limit: int = 128, request_log_dir: str | None = None,
+                 cache_size: int = 64, queue_limit: int = 128,
+                 request_log_dir: str | None = None,
                  span_log_dir: str | None = None,
-                 shard_prefix: str = "w", registry: MetricsRegistry | None = None,
-                 startup_timeout: float = 120.0) -> None:
+                 registry: MetricsRegistry | None = None) -> None:
         if workers < 1:
             raise ValueError(f"need workers >= 1, got {workers}")
         self.n_workers = int(workers)
@@ -731,8 +739,6 @@ class Fleet:
             span_dir.mkdir(parents=True, exist_ok=True)
             self._router_spans = SpanRecorder.open(
                 str(span_dir / "router.spans.jsonl"))
-        self.startup_timeout = float(startup_timeout)
-        self.shard_prefix = shard_prefix
         self._counter = 0
         self._counter_lock = threading.Lock()
         self.worker_flags = ("--cache-size", str(int(cache_size)),
@@ -740,13 +746,13 @@ class Fleet:
         # The router's batch-envelope bound mirrors the worker's own
         # (CostSharingService clamps max_batch_requests to queue_limit).
         self.router = FleetRouter(
-            replicas=replicas, registry=registry,
+            registry=registry,
             max_batch_requests=min(64, int(queue_limit)),
             spawner=self.spawn_one, spans=self._router_spans)
 
     def _next_shard(self) -> str:
         with self._counter_lock:
-            shard = f"{self.shard_prefix}{self._counter}"
+            shard = f"w{self._counter}"
             self._counter += 1
         return shard
 
@@ -762,8 +768,7 @@ class Fleet:
             serve_args += ["--span-log",
                            str(span_dir / f"{shard}.spans.jsonl")]
         process, port = spawn_worker(shard, host=self.host,
-                                     serve_args=tuple(serve_args),
-                                     startup_timeout=self.startup_timeout)
+                                     serve_args=tuple(serve_args))
         return FleetWorker(shard, WorkerClient(self.host, port), process)
 
     def spawn_one(self) -> FleetWorker:

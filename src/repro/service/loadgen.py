@@ -521,8 +521,10 @@ def run_loadgen(*, host: str, port: int, requests: int, concurrency: int,
     cost-share trajectories from the response summaries.
 
     429 responses are retried up to ``retry_limit`` times per request,
-    honoring the server's ``Retry-After`` (bounded); the recorded latency
-    is the final attempt's, and every retry is counted in the report."""
+    honoring the server's ``Retry-After`` (bounded); while a request
+    waits to retry, no worker sends a new one, so fresh requests cannot
+    starve it of the slot it was refused.  The recorded latency is the
+    final attempt's, and every retry is counted in the report."""
     trace_cells: dict[str, dict[int, dict]] = {}
     if trace is not None:
         schedule = build_trace_requests(trace, mechanisms=mechanisms,
@@ -544,7 +546,10 @@ def run_loadgen(*, host: str, port: int, requests: int, concurrency: int,
     retry_limit = max(0, int(retry_limit))
 
     next_index = 0
-    index_lock = threading.Lock()
+    # Workers between a 429 and their retry's answer; while any waits,
+    # no worker takes a new index (see the docstring).
+    retrying = 0
+    intake = threading.Condition()
     latencies: list[float] = []
     statuses: dict[int, int] = {}
     errors: list[str] = []
@@ -567,7 +572,7 @@ def run_loadgen(*, host: str, port: int, requests: int, concurrency: int,
         cell["receivers"] += float(summary.get("mean_receivers", 0.0))
 
     def worker() -> None:
-        nonlocal next_index
+        nonlocal next_index, retrying
         connection = http.client.HTTPConnection(host, port, timeout=timeout)
 
         def post_once(body: bytes):
@@ -584,42 +589,52 @@ def run_loadgen(*, host: str, port: int, requests: int, concurrency: int,
 
         try:
             while True:
-                with index_lock:
+                with intake:
+                    intake.wait_for(lambda: retrying == 0)
                     if next_index >= len(bodies):
                         return
                     index = next_index
                     next_index += 1
                 attempts = 0
-                while True:
-                    started = time.perf_counter()
-                    try:
-                        (status, payload, shard, retry_after,
-                         trace_id) = post_once(bodies[index])
-                    except (OSError, http.client.HTTPException) as exc:
+                try:
+                    while True:
+                        started = time.perf_counter()
+                        try:
+                            (status, payload, shard, retry_after,
+                             trace_id) = post_once(bodies[index])
+                        except (OSError, http.client.HTTPException) as exc:
+                            with record_lock:
+                                errors.append(f"request {index}: {exc}")
+                                statuses[0] = statuses.get(0, 0) + 1
+                            break
+                        if status == 429 and attempts < retry_limit:
+                            # Backpressure, not failure: honor Retry-After
+                            # (bounded) and try again.
+                            if not attempts:
+                                with intake:
+                                    retrying += 1
+                            attempts += 1
+                            with record_lock:
+                                counts["retries"] += 1
+                            time.sleep(_retry_delay(retry_after))
+                            continue
+                        elapsed = time.perf_counter() - started
                         with record_lock:
-                            errors.append(f"request {index}: {exc}")
-                            statuses[0] = statuses.get(0, 0) + 1
+                            latencies.append(elapsed)
+                            statuses[status] = statuses.get(status, 0) + 1
+                            if shard is not None:
+                                shard_latencies.setdefault(
+                                    shard, []).append(elapsed)
+                            if trace_id is not None:
+                                trace_latencies[trace_id] = elapsed
+                            if trace_cells and status == 200:
+                                record_trace_row(payload)
                         break
-                    if status == 429 and attempts < retry_limit:
-                        # Backpressure, not failure: honor Retry-After
-                        # (bounded) and try again.
-                        attempts += 1
-                        with record_lock:
-                            counts["retries"] += 1
-                        time.sleep(_retry_delay(retry_after))
-                        continue
-                    elapsed = time.perf_counter() - started
-                    with record_lock:
-                        latencies.append(elapsed)
-                        statuses[status] = statuses.get(status, 0) + 1
-                        if shard is not None:
-                            shard_latencies.setdefault(shard,
-                                                       []).append(elapsed)
-                        if trace_id is not None:
-                            trace_latencies[trace_id] = elapsed
-                        if trace_cells and status == 200:
-                            record_trace_row(payload)
-                    break
+                finally:
+                    if attempts:
+                        with intake:
+                            retrying -= 1
+                            intake.notify_all()
         finally:
             connection.close()
 

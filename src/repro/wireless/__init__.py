@@ -19,11 +19,7 @@ from repro.wireless.memt import (
     spt_multicast,
     steiner_multicast,
 )
-from repro.wireless.multicast import (
-    power_from_parents,
-    steiner_heuristic_power,
-    validate_multicast,
-)
+from repro.wireless.multicast import power_from_parents, steiner_heuristic_power
 from repro.wireless.power import PowerAssignment
 from repro.wireless.universal_tree import UniversalTree
 
@@ -45,5 +41,4 @@ __all__ = [
     "spt_multicast",
     "steiner_heuristic_power",
     "steiner_multicast",
-    "validate_multicast",
 ]

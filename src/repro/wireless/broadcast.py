@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.graphs.mst import prim_mst
 from repro.wireless.cost_graph import CostGraph
-from repro.wireless.memt import bip_broadcast, optimal_broadcast  # noqa: F401 (re-export)
+from repro.wireless.memt import bip_broadcast  # noqa: F401 (re-export)
 from repro.wireless.multicast import power_from_parents
 from repro.wireless.power import PowerAssignment
 
@@ -22,10 +22,3 @@ def mst_broadcast(network: CostGraph, source: int) -> PowerAssignment:
         parents[c] = p
     return power_from_parents(network, parents)
 
-
-def broadcast_cost_ratio(network: CostGraph, source: int) -> float:
-    """``cost(MST heuristic) / C*`` on one instance (exact solver: small n)."""
-    opt_cost, _ = optimal_broadcast(network, source)
-    if opt_cost == 0:
-        return 1.0
-    return mst_broadcast(network, source).cost() / opt_cost

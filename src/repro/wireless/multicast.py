@@ -16,7 +16,7 @@ from collections.abc import Iterable, Mapping
 import numpy as np
 
 from repro.graphs.adjacency import Graph
-from repro.graphs.traversal import bfs_parents, reachable_set
+from repro.graphs.traversal import bfs_parents
 from repro.wireless.cost_graph import CostGraph
 from repro.wireless.power import PowerAssignment
 
@@ -54,17 +54,3 @@ def steiner_heuristic_power(
     parents = parents_from_tree_edges(edges, source)
     return power_from_parents(network, parents)
 
-
-def validate_multicast(
-    network: CostGraph,
-    power: PowerAssignment,
-    source: int,
-    receivers: Iterable[int],
-) -> None:
-    """Raise ``ValueError`` unless ``power`` multicasts from ``source`` to
-    every receiver."""
-    receivers = list(receivers)
-    if not power.reaches(network, source, receivers):
-        reached = reachable_set(power.transmission_digraph(network), source)
-        missing = set(receivers) - reached
-        raise ValueError(f"power assignment does not reach receivers {sorted(missing)}")

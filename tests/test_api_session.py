@@ -105,6 +105,10 @@ class TestSharedState:
     def test_unknown_tree_kind(self):
         with pytest.raises(ValueError, match="tree kind"):
             MulticastSession(small_spec()).universal_tree("bfs")
+        profiles = profiles_for(small_spec(), n_profiles=2)
+        with pytest.raises(ValueError, match="tree kind"):
+            MulticastSession(small_spec()).run_batch(
+                "tree-shapley", profiles, tree="bogus")
 
 
 class TestRun:
@@ -124,22 +128,35 @@ class TestRun:
 
     def test_run_batch_equals_per_call_runs(self):
         spec = small_spec()
-        batch_session, call_session = MulticastSession(spec), MulticastSession(spec)
         profiles = profiles_for(spec)
-        batched = batch_session.run_batch("jv", profiles)
-        singly = [call_session.run("jv", p) for p in profiles]
-        for a, b in zip(batched, singly):
-            assert a.receivers == b.receivers and a.shares == b.shares
+        cases = [("jv", {})] + [
+            (name, {"tree": kind})
+            for name in ("tree-shapley", "tree-mc")
+            for kind in ("spt", "mst", "star")]
+        for name, params in cases:
+            batch_session, call_session = MulticastSession(spec), MulticastSession(spec)
+            batched = batch_session.run_batch(name, profiles, **params)
+            singly = [call_session.run(name, p, **params) for p in profiles]
+            assert len(batched) == len(profiles)
+            for a, b in zip(batched, singly):
+                assert a.receivers == b.receivers and a.shares == b.shares
+                assert a.cost == b.cost
+                if name == "jv":
+                    assert a.extra["closure_mst_weight"] == \
+                        b.extra["closure_mst_weight"]
+                if name == "tree-mc":  # MC may run a deficit, never a surplus
+                    assert a.total_charged() <= a.cost + 1e-9
 
     def test_method_cache_accumulates_hits(self):
         spec = small_spec()
-        session = MulticastSession(spec)
         profiles = profiles_for(spec, n_profiles=8)
-        session.run_batch("tree-shapley", profiles)
-        cache = session.method_cache("tree-shapley")
-        assert cache.hits > 0
-        info = session.cache_info()["methods"]["tree-shapley"]
-        assert info["hits"] == cache.hits and 0 < info["hit_rate"] <= 1
+        for name in ("tree-shapley", "jv"):
+            session = MulticastSession(spec)
+            session.run_batch(name, profiles)
+            cache = session.method_cache(name)
+            assert cache.hits > 0
+            info = session.cache_info()["methods"][name]
+            assert info["hits"] == cache.hits and 0 < info["hit_rate"] <= 1
 
     def test_mechanisms_without_method_have_no_cache(self):
         session = MulticastSession(small_spec())

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.geometry.points import uniform_points
-from repro.wireless.broadcast import bip_broadcast, broadcast_cost_ratio, mst_broadcast
+from repro.wireless.broadcast import bip_broadcast, mst_broadcast
 from repro.wireless.cost_graph import EuclideanCostGraph
 from repro.wireless.memt import optimal_broadcast
 
@@ -19,13 +19,14 @@ class TestMSTBroadcast:
     def test_ratio_within_d2_bound(self, seed):
         """cost(MST heuristic)/C* <= 6 in the plane (Ambuehl via Lemma 3.4)."""
         net = EuclideanCostGraph(uniform_points(8, 2, rng=seed + 20, side=4.0), 2.0)
-        ratio = broadcast_cost_ratio(net, 0)
+        ratio = mst_broadcast(net, 0).cost() / optimal_broadcast(net, 0)[0]
         assert 1.0 - 1e-9 <= ratio <= 6.0 + 1e-9
 
     def test_d1_alpha1_mst_is_optimal(self):
         """On a line with alpha = 1 the MST heuristic is exactly optimal."""
         net = EuclideanCostGraph(uniform_points(7, 1, rng=3, side=5.0), 1.0)
-        assert broadcast_cost_ratio(net, 0) == pytest.approx(1.0)
+        ratio = mst_broadcast(net, 0).cost() / optimal_broadcast(net, 0)[0]
+        assert ratio == pytest.approx(1.0)
 
 
 class TestBIPBroadcast:

@@ -12,7 +12,6 @@ from repro.graphs.shortest_paths import (
     all_pairs_dijkstra,
     dijkstra,
     reconstruct_path,
-    shortest_path,
 )
 
 INF = np.inf
@@ -164,8 +163,8 @@ class TestKernels:
     def test_shortest_path_on_dense(self):
         g = DenseGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0),
                                       (2, 3, 1.0)])
-        path, length = shortest_path(g, 0, 3)
-        assert path == [0, 1, 2, 3] and length == 3.0
+        dist, parent = dijkstra(g, 0, targets=[3])
+        assert reconstruct_path(parent, 3) == [0, 1, 2, 3] and dist[3] == 3.0
 
     @pytest.mark.parametrize("backend", ["dense", "csr"])
     def test_prim_matches_dict_backend(self, backend):

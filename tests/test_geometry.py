@@ -5,10 +5,8 @@ import pytest
 
 from repro.geometry.points import (
     PointSet,
-    circle_points,
     clustered_points,
     grid_points,
-    line_points,
     pentagon_layout,
     uniform_points,
 )
@@ -56,20 +54,10 @@ class TestGenerators:
         ps = uniform_points(50, 2, side=3.0, rng=0)
         assert ps.coords.min() >= 0.0 and ps.coords.max() <= 3.0
 
-    def test_line_sorted(self):
-        ps = line_points(10, rng=1)
-        xs = ps.coords.ravel()
-        assert (np.diff(xs) >= 0).all() and ps.dim == 1
-
     def test_grid(self):
         ps = grid_points(2, 3, spacing=2.0)
         assert ps.n == 6
         assert ps.distance(0, 1) == pytest.approx(2.0)
-
-    def test_circle_equidistant_from_center(self):
-        ps = circle_points(5, radius=4.0, center=(1.0, 1.0))
-        for i in range(5):
-            assert np.hypot(*(ps[i] - np.array([1.0, 1.0]))) == pytest.approx(4.0)
 
     def test_clusters_shape(self):
         ps = clustered_points(3, 4, rng=0)

@@ -4,13 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.graphs.adjacency import Graph
-from repro.graphs.mst import (
-    boruvka_mst,
-    kruskal_complete,
-    kruskal_mst,
-    mst_weight,
-    prim_mst,
-)
+from repro.graphs.mst import kruskal_complete, kruskal_mst, mst_weight, prim_mst
 from repro.graphs.random_graphs import as_rng, random_connected_graph
 
 
@@ -29,7 +23,6 @@ def test_kruskal_prim_boruvka_agree_with_networkx(seed):
     k_edges, _ = kruskal_mst(g)
     assert mst_weight(k_edges) == pytest.approx(expected)
     assert mst_weight(prim_mst(g, root=0)) == pytest.approx(expected)
-    assert mst_weight(boruvka_mst(g)) == pytest.approx(expected)
     assert len(k_edges) == len(g) - 1
 
 

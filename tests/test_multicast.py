@@ -10,7 +10,6 @@ from repro.wireless.multicast import (
     parents_from_tree_edges,
     power_from_parents,
     steiner_heuristic_power,
-    validate_multicast,
 )
 
 
@@ -52,13 +51,3 @@ class TestOrientation:
         assert pa.cost() <= tree.cost + 1e-9
         assert pa.reaches(net, 0, [2, 5, 7])
 
-
-class TestValidate:
-    def test_accepts_feasible(self, net):
-        pa = power_from_parents(net, {0: None, 1: 0, 2: 1, 3: 2})
-        validate_multicast(net, pa, 0, [3])
-
-    def test_rejects_infeasible_with_missing_list(self, net):
-        pa = power_from_parents(net, {0: None, 1: 0})
-        with pytest.raises(ValueError, match=r"\[3\]"):
-            validate_multicast(net, pa, 0, [1, 3])

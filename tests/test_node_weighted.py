@@ -4,11 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.graphs.adjacency import Graph
-from repro.graphs.node_weighted import (
-    all_sources_node_weighted,
-    node_weighted_dijkstra,
-    node_weighted_path_cost,
-)
+from repro.graphs.node_weighted import node_weighted_dijkstra
 from repro.graphs.random_graphs import as_rng, random_connected_graph
 
 
@@ -65,17 +61,3 @@ class TestNodeWeightedDijkstra:
         dist, _ = node_weighted_dijkstra(g, weights, 0, targets=[1])
         assert 1 in dist and 9 not in dist
 
-    def test_path_cost_helper(self):
-        weights = {"a": 1.0, "b": 2.0, "c": 4.0}
-        assert node_weighted_path_cost(weights, ["a", "b", "c"]) == 6.0
-        assert node_weighted_path_cost(weights, ["a"]) == 0.0
-
-    def test_all_sources(self):
-        g = random_connected_graph(8, rng=1)
-        weights = {v: 1.0 for v in g.nodes()}
-        table = all_sources_node_weighted(g, weights)
-        # d(u, v) counts v but not u; with unit weights d(u,v) = hops.
-        for u in g.nodes():
-            assert table[u][u] == 0.0
-            for v, _ in g.neighbors(u):
-                assert table[u][v] == 1.0

@@ -37,8 +37,19 @@ from repro.service.loadgen import build_keyed_requests, build_requests, run_load
 REPO_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-def run(coro):
-    return asyncio.run(coro)
+def run(coro, router=None):
+    """Run ``coro`` on a fresh event loop.  With ``router``, drain it on
+    that same loop afterwards: its pooled worker connections belong to
+    the loop that opened them."""
+
+    async def main():
+        try:
+            return await coro
+        finally:
+            if router is not None:
+                await router.drain()
+
+    return asyncio.run(main())
 
 
 def wire_bytes(payload) -> bytes:
@@ -93,7 +104,7 @@ def test_run_responses_are_bit_identical_through_the_router():
                 assert wire_bytes(actual[1]) == wire_bytes(expected[1])
                 assert actual[2]["X-Repro-Shard"].startswith("w")
 
-        run(scenario())
+        run(scenario(), router)
 
 
 def test_batch_splits_across_shards_and_merges_bit_identically():
@@ -112,7 +123,7 @@ def test_batch_splits_across_shards_and_merges_bit_identically():
             assert wire_bytes(actual[1]) == wire_bytes(expected[1])
             return actual[2]["X-Repro-Shard"]
 
-        shards = run(scenario())
+        shards = run(scenario(), router)
         # Six distinct scenarios over three shards: the batch really
         # split (multiple shards answered) and really merged (above).
         assert len(shards.split(",")) >= 2
@@ -143,7 +154,7 @@ def test_error_paths_are_bit_identical_through_the_router():
                 if "Allow" in expected[2]:
                     assert actual[2]["Allow"] == expected[2]["Allow"]
 
-        run(scenario())
+        run(scenario(), router)
 
 
 def test_oversized_batch_rejected_with_413_parity():
@@ -160,7 +171,7 @@ def test_oversized_batch_rejected_with_413_parity():
             assert actual[0] == expected[0] == 413
             assert wire_bytes(actual[1]) == wire_bytes(expected[1])
 
-        run(scenario())
+        run(scenario(), router)
 
 
 # -- routing -----------------------------------------------------------------
@@ -187,7 +198,7 @@ def test_same_scenario_always_lands_on_the_same_shard():
                 shards.add(headers["X-Repro-Shard"])
             return shards
 
-        shards = run(scenario())
+        shards = run(scenario(), router)
         assert len(shards) == 1  # warm affinity: one shard owns the key
         owner = [s for s in services if s.store.stats()["lookups"] > 0]
         assert len(owner) == 1
@@ -202,7 +213,7 @@ def test_router_health_and_empty_ring_503():
             assert status == 200 and payload["fleet"]["workers"] == 2
             assert payload["fleet"]["shards"] == ["w0", "w1"]
 
-        run(scenario())
+        run(scenario(), router)
 
     empty = FleetRouter()
 
@@ -283,7 +294,7 @@ def test_stale_pooled_connection_is_retried_on_a_fresh_one():
             await asyncio.sleep(0.05)
             second, _, body = await client.request("GET", "/v1/healthz")
         finally:
-            client.close()
+            await client.close()
             await stop()
         return first, second, body, heads
 
@@ -311,7 +322,7 @@ def test_timed_out_forward_is_not_retried_on_pooled_connections():
                 "POST", "/v1/run", _bodies(1)[0])
             elapsed = time.perf_counter() - started
         finally:
-            client.close()
+            await client.close()
             await stop()
         posts = sum(head.startswith(b"POST")
                     for received in heads for head in received)
@@ -335,7 +346,7 @@ def test_stats_and_metrics_aggregate_across_shards():
             metrics = (await router.dispatch("GET", "/metrics"))[1]
             return stats, metrics
 
-        stats, metrics = run(scenario())
+        stats, metrics = run(scenario(), router)
         assert set(stats["shards"]) == {"w0", "w1", "w2"}
         # The aggregated store block is the exact sum of the shards'.
         for key in ("lookups", "hits", "misses"):
@@ -380,7 +391,7 @@ def test_drain_is_graceful_404_on_unknown_and_409_on_last():
                 "POST", "/v1/run", _bodies(1)[0])
             assert status == 200 and headers["X-Repro-Shard"] == "w0"
 
-        run(scenario())
+        run(scenario(), router)
 
 
 def test_drain_under_load_loses_zero_requests():
@@ -523,6 +534,7 @@ def test_fleet_cli_serves_workers_behind_one_router():
     finally:
         process.terminate()
         process.wait(timeout=30)
+        process.stdout.close()
     # SIGTERM unwinds the router like Ctrl-C: it terminates its workers
     # before exiting, so none is left orphaned still holding its port.
     for worker_port in worker_ports:

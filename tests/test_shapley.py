@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mechanism.shapley import shapley_sample, shapley_shares
+from repro.mechanism.shapley import shapley_shares
 
 
 class TestShapleyAxioms:
@@ -45,21 +45,6 @@ class TestShapleyAxioms:
 
     def test_empty(self):
         assert shapley_shares([], lambda R: 0.0) == {}
-
-
-class TestSampling:
-    def test_converges_to_exact(self):
-        a = {1: 2.0, 2: 5.0, 3: 9.0, 4: 1.0}
-        cost = lambda R: max((a[i] for i in R), default=0.0)
-        exact = shapley_shares(list(a), cost)
-        approx = shapley_sample(list(a), cost, n_permutations=4000, rng=0)
-        for i in a:
-            assert approx[i] == pytest.approx(exact[i], rel=0.1)
-
-    def test_sampling_is_budget_balanced_per_permutation(self):
-        cost = lambda R: float(len(R) ** 2)
-        approx = shapley_sample([1, 2, 3], cost, n_permutations=10, rng=1)
-        assert sum(approx.values()) == pytest.approx(cost(frozenset({1, 2, 3})))
 
 
 class TestMarginalVectorMethod:

@@ -10,7 +10,6 @@ from repro.graphs.shortest_paths import (
     all_pairs_dijkstra,
     dijkstra,
     reconstruct_path,
-    shortest_path,
 )
 
 
@@ -132,25 +131,11 @@ class TestEarlyExitConsistency:
         assert set(parent) == set(dist)
 
     def test_shortest_path_single_target_regression(self):
-        path, length = shortest_path(self.diamond(), 0, 3)
-        assert path == [0, 1, 3] and length == 2.0
+        dist, parent = dijkstra(self.diamond(), 0, targets=[3])
+        assert reconstruct_path(parent, 3) == [0, 1, 3] and dist[3] == 2.0
 
 
 class TestHelpers:
-    def test_shortest_path_wrapper(self):
-        g = Graph()
-        for u, v, w in [(0, 1, 1), (1, 2, 1), (0, 2, 5)]:
-            g.add_edge(u, v, w)
-        path, length = shortest_path(g, 0, 2)
-        assert path == [0, 1, 2] and length == 2.0
-
-    def test_shortest_path_unreachable(self):
-        g = Graph()
-        g.add_node(0)
-        g.add_node(1)
-        with pytest.raises(ValueError):
-            shortest_path(g, 0, 1)
-
     def test_all_pairs_symmetric(self):
         g = random_connected_graph(10, rng=3)
         apsp = all_pairs_dijkstra(g)

@@ -185,6 +185,7 @@ def test_fleet_responses_bit_identical_with_tracing_on_and_off():
         for body in bodies:
             status, payload, _ = await router.dispatch("POST", "/v1/run", body)
             out.append((status, json.dumps(payload, sort_keys=True)))
+        await router.drain()
         return out
 
     with traced_fleet(2) as (traced, _, _):
@@ -214,8 +215,9 @@ def test_router_stats_and_metrics_dump_see_the_fleet(tmp_path, capsys):
             for body in _bodies(4):
                 status, _, _ = await router.dispatch("POST", "/v1/run", body)
                 assert status == 200
+            stats = await router.dispatch("GET", "/v1/stats", b"")
             await router.drain()
-            return await router.dispatch("GET", "/v1/stats", b"")
+            return stats
 
         status, stats, _ = asyncio.run(drive())
         assert status == 200

@@ -6,10 +6,8 @@ from repro.graphs.traversal import (
     bfs_order,
     bfs_parents,
     connected_components,
-    dfs_order,
     is_connected,
     reachable_set,
-    weakly_connected_components,
 )
 
 
@@ -54,30 +52,12 @@ class TestBFS:
         assert set(bfs_order(g, 2)) == {2, 1}
 
 
-class TestDFS:
-    def test_preorder_on_tree(self):
-        g = Graph()
-        for u, v in [(0, 1), (0, 2), (1, 3)]:
-            g.add_edge(u, v, 1.0)
-        order = dfs_order(g, 0)
-        assert order[0] == 0 and set(order) == {0, 1, 2, 3}
-        # Child subtree fully visited before the next sibling.
-        assert order.index(3) < order.index(2) or order.index(2) < order.index(1)
-
-
 class TestComponents:
     def test_connected_components(self):
         g = path_graph(3)
         g.add_edge(10, 11, 1.0)
         comps = sorted(connected_components(g), key=len)
         assert [sorted(c) for c in comps] == [[10, 11], [0, 1, 2]]
-
-    def test_weakly_connected(self):
-        g = DiGraph()
-        g.add_edge(0, 1, 1.0)
-        g.add_edge(2, 1, 1.0)
-        comps = weakly_connected_components(g)
-        assert len(comps) == 1 and comps[0] == {0, 1, 2}
 
     def test_is_connected(self):
         g = path_graph(4)
